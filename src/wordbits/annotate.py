@@ -138,14 +138,6 @@ class TokenizedSegment:
     spans: dict = field(default_factory=dict)  # surface-word index -> (start, end)
     parsed: bool = True
 
-    def scoring_words(self):
-        return self.words
-
-
-def surface_map(seg: TokenizedSegment) -> dict:
-    """Surface-word index -> character span in seg.text (None for FP rows)."""
-    return dict(seg.spans)
-
 
 def validate_sentence_tree(tokens) -> list:
     """Check one sentence's dependency structure: integer ids 1..n, head ids

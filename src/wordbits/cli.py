@@ -18,7 +18,7 @@ from . import __version__, build, gam, pipeline
 from .config import RunConfig, config_hash, load_config
 from .fp import PREDICTORS, build_fp_dataset, fit_logistic
 from .records import ParallelSegment
-from .tables import read_table, write_table
+from .tables import read_table, write_table, write_tsv
 
 _CONFIG_FLAGS = {
     "input": "input",
@@ -31,14 +31,7 @@ _CONFIG_FLAGS = {
     "seed": "seed",
     "workers": "workers",
     "align_threshold": "align_threshold",
-    "replay_lm_base": "replay_lm_base",
-    "replay_lm_ft": "replay_lm_ft",
-    "replay_src_lm_base": "replay_src_lm_base",
-    "replay_src_lm_ft": "replay_src_lm_ft",
-    "replay_mt_base": "replay_mt_base",
-    "replay_mt_ft": "replay_mt_ft",
-    "replay_encoder": "replay_encoder",
-    "replay_parser": "replay_parser",
+    **{f"replay_{role}": f"replay_{role}" for role in pipeline.ROLES},
 }
 
 
@@ -56,9 +49,8 @@ def _add_common(p):
     p.add_argument("--workers", type=int)
     p.add_argument("--align-threshold", dest="align_threshold", type=float)
     p.add_argument("--replay", help="JSON manifest mapping adapter role to replay file")
-    for role in ("lm-base", "lm-ft", "src-lm-base", "src-lm-ft",
-                 "mt-base", "mt-ft", "encoder", "parser"):
-        p.add_argument(f"--replay-{role}", dest=f"replay_{role.replace('-', '_')}")
+    for role in pipeline.ROLES:
+        p.add_argument(f"--replay-{role.replace('_', '-')}", dest=f"replay_{role}")
     p.add_argument("--mock", action="store_true",
                    help="fall back to mock adapters for roles without a replay file")
 
@@ -69,10 +61,9 @@ def _config_from_args(args) -> RunConfig:
         with open(args.replay, encoding="utf-8") as f:
             manifest = json.load(f)
         for role, path in manifest.items():
-            key = f"replay_{role.replace('-', '_')}"
-            if key not in _CONFIG_FLAGS:
+            if role.replace("-", "_") not in pipeline.ROLES:
                 raise ValueError(f"unknown adapter role in replay manifest: {role!r}")
-            overrides[key] = path
+            overrides["replay_" + role.replace("-", "_")] = path
     for flag, key in _CONFIG_FLAGS.items():
         value = getattr(args, flag, None)
         if value is not None:
@@ -110,8 +101,7 @@ def cmd_normalize(args) -> int:
 
 def _adapter_names(adapters) -> dict:
     names = {}
-    for role in ("lm_base", "lm_ft", "src_lm_base", "src_lm_ft",
-                 "mt_base", "mt_ft", "encoder", "parser"):
+    for role in pipeline.ROLES:
         a = getattr(adapters, role)
         if a is not None:
             names[f"adapter_{role}"] = getattr(a, "name", type(a).__name__)
@@ -187,14 +177,12 @@ def cmd_build(args) -> int:
 
     prov = _provenance(cfg, "build")
     out = _out(cfg, "splits.tsv.gz")
-    with pipeline.open_text(out, "w") as f:
-        for key in sorted(prov):
-            f.write(f"# {key}={prov[key]}\n")
-        f.write("doc_id\tlpair\tsplit\tn_segments\n")
-        for split_name, docs in (("test", splits.test), ("train", splits.train),
-                                 ("dropped", splits.dropped)):
-            for doc in sorted(docs, key=lambda d: d.doc_id):
-                f.write(f"{doc.doc_id}\t{doc.lpair}\t{split_name}\t{doc.n_segments}\n")
+    write_tsv(out, ("doc_id", "lpair", "split", "n_segments"),
+              ((doc.doc_id, doc.lpair, split_name, str(doc.n_segments))
+               for split_name, docs in (("test", splits.test), ("train", splits.train),
+                                        ("dropped", splits.dropped))
+               for doc in sorted(docs, key=lambda d: d.doc_id)),
+              prov)
     report_out = _out(cfg, "build_report.jsonl.gz")
     pipeline.write_jsonl(report_out, reports, meta=prov)
     print(f"wrote {out} (test {len(splits.test)}, train {len(splits.train)}, "
@@ -213,17 +201,12 @@ def cmd_stats(args) -> int:
     table = build.describe(docs)
     prov = _provenance(cfg, "stats")
     out = _out(cfg, "stats.tsv.gz")
-    with pipeline.open_text(out, "w") as f:
-        for key in sorted(prov):
-            f.write(f"# {key}={prov[key]}\n")
-        f.write("\t".join(_STATS_COLUMNS) + "\n")
-        for row in table:
-            cells = []
-            for col in _STATS_COLUMNS:
-                v = row.get(col)
-                cells.append("NA" if v is None else
-                             (repr(v) if isinstance(v, float) else str(v)))
-            f.write("\t".join(cells) + "\n")
+
+    def cell(v):
+        return "NA" if v is None else (repr(v) if isinstance(v, float) else str(v))
+
+    write_tsv(out, _STATS_COLUMNS,
+              ([cell(row.get(col)) for col in _STATS_COLUMNS] for row in table), prov)
     print(f"wrote {out} ({len(table)} rows)")
     return 0
 
@@ -243,18 +226,16 @@ def cmd_fp_analyze(args) -> int:
                        aic=repr(fit.aic), c=repr(fit.c), n_obs=fit.n_obs,
                        loglik=repr(fit.loglik),
                        **{f"sigma2_{k}": repr(v) for k, v in fit.variances.items()})
+    rows = []
+    for term in ("intercept",) + tuple(PREDICTORS):
+        if term not in fit.coefficients:
+            continue
+        est = fit.coefficients[term]
+        se = fit.std_errors[term]
+        z = est / se if se else float("nan")
+        rows.append((term, repr(est), repr(se), repr(z)))
     out = _out(cfg, "fp_model.tsv.gz")
-    with pipeline.open_text(out, "w") as f:
-        for key in sorted(prov):
-            f.write(f"# {key}={prov[key]}\n")
-        f.write("term\testimate\tstd_error\tz\n")
-        for term in ("intercept",) + tuple(PREDICTORS):
-            if term not in fit.coefficients:
-                continue
-            est = fit.coefficients[term]
-            se = fit.std_errors[term]
-            z = est / se if se else float("nan")
-            f.write(f"{term}\t{est!r}\t{se!r}\t{z!r}\n")
+    write_tsv(out, ("term", "estimate", "std_error", "z"), rows, prov)
     print(f"wrote {out} (AIC {fit.aic:.2f}, C {fit.c:.3f}, n {fit.n_obs})")
     return 0
 
@@ -287,12 +268,9 @@ def cmd_gam(args) -> int:
                        lam=repr(fit.lam), pseudo_r2=repr(fit.pseudo_r2),
                        edf=repr(fit.edf), gcv=repr(fit.gcv))
     out = _out(cfg, "gam_curve.tsv.gz")
-    with pipeline.open_text(out, "w") as f:
-        for key in sorted(prov):
-            f.write(f"# {key}={prov[key]}\n")
-        f.write("x\tyhat\tci_lower\tci_upper\n")
-        for row in zip(grid_x, yhat, lower, upper):
-            f.write("\t".join(repr(float(v)) for v in row) + "\n")
+    write_tsv(out, ("x", "yhat", "ci_lower", "ci_upper"),
+              ([repr(float(v)) for v in row] for row in zip(grid_x, yhat, lower, upper)),
+              prov)
     print(f"wrote {out} (pseudo R2 {fit.pseudo_r2:.3f}, edf {fit.edf:.2f})")
     return 0
 

@@ -8,12 +8,13 @@ identical inputs and adapters give byte-identical outputs.
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import logging
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import field, make_dataclass
+from functools import partial
+from typing import NamedTuple
 
 from . import align, surprisal
 from .adapters import (MockCausalLM, MockEncoder, MockMT, ReplayCausalLM,
@@ -23,6 +24,7 @@ from .config import RunConfig
 from .ids import IMPLIED_MODE, ItemId
 from .records import SegmentPairRecord, SegmentRecord
 from .standardize import standardize
+from .tables import GzipTextWriter
 from .transcripts import normalize_segment
 
 log = logging.getLogger(__name__)
@@ -31,63 +33,54 @@ INPUT_COLUMNS = ("doc_id", "seg_id", "src_speaker_id", "tgt_speaker_id",
                  "src_raw", "tgt_raw")
 
 
-@dataclass
-class AdapterSet:
-    lm_base: object = None  # target-language causal LM
-    lm_ft: object = None
-    src_lm_base: object = None  # source-language causal LM
-    src_lm_ft: object = None
-    mt_base: object = None
-    mt_ft: object = None
-    encoder: object = None
-    parser: object = None
+class Role(NamedTuple):
+    kind: str  # adapter kind, as in a replay file's meta line
+    side: str = None  # segment side the role scores
+    column: str = None  # vertical column its word bits fill
+    key: str = None  # sidecar key of its subword-level mean
+
+
+# Every adapter role, in scoring order.  MT scores the target given the
+# source; its sidecar mean and pseudo-BLEU go to the "pair" record.  The
+# --replay-<role> flags, replay_<role> config keys and adapter_<role>
+# provenance entries are named after these keys.
+ROLES = {
+    "lm_base": Role("causal_lm", "tgt", "srp_base_gpt2", "base_gpt_avs_subw"),
+    "lm_ft": Role("causal_lm", "tgt", "srp_ft_gpt2", "ft_gpt_avs_subw"),
+    "src_lm_base": Role("causal_lm", "src", "srp_base_gpt2", "base_gpt_avs_subw"),
+    "src_lm_ft": Role("causal_lm", "src", "srp_ft_gpt2", "ft_gpt_avs_subw"),
+    "mt_base": Role("mt", "tgt", "srp_base_mt", "base_mt_avs_subw"),
+    "mt_ft": Role("mt", "tgt", "srp_ft_mt", "ft_mt_avs_subw"),
+    "encoder": Role("encoder"),
+    "parser": Role("parser"),
+}
+
+# adapter kind -> (replay class, mock class)
+_ADAPTER_CLASSES = {
+    "causal_lm": (ReplayCausalLM, MockCausalLM),
+    "mt": (ReplayMT, MockMT),
+    "encoder": (ReplayEncoder, MockEncoder),
+    "parser": (ReplayParser, MockParser),
+}
+
+AdapterSet = make_dataclass(
+    "AdapterSet", [(role, object, field(default=None)) for role in ROLES])
+AdapterSet.__module__ = __name__
 
 
 def adapters_from_config(cfg: RunConfig, mock_fallback: bool = False) -> AdapterSet:
-    def lm(path):
-        if path:
-            return ReplayCausalLM(path)
-        return MockCausalLM() if mock_fallback else None
-
-    def mt(path):
-        if path:
-            return ReplayMT(path)
-        return MockMT() if mock_fallback else None
-
-    return AdapterSet(
-        lm_base=lm(cfg.replay_lm_base),
-        lm_ft=lm(cfg.replay_lm_ft),
-        src_lm_base=lm(cfg.replay_src_lm_base),
-        src_lm_ft=lm(cfg.replay_src_lm_ft),
-        mt_base=mt(cfg.replay_mt_base),
-        mt_ft=mt(cfg.replay_mt_ft),
-        encoder=(ReplayEncoder(cfg.replay_encoder) if cfg.replay_encoder
-                 else (MockEncoder() if mock_fallback else None)),
-        parser=(ReplayParser(cfg.replay_parser) if cfg.replay_parser
-                else (MockParser() if mock_fallback else None)),
-    )
-
-
-class _GzTextWriter(io.TextIOWrapper):
-    """Text stream over a gzip member with mtime pinned to zero, closing the
-    underlying file as well (GzipFile leaves passed-in fileobjs open)."""
-
-    def __init__(self, path):
-        self._raw = open(path, "wb")
-        gz = gzip.GzipFile(filename="", fileobj=self._raw, mode="wb", mtime=0)
-        super().__init__(gz, encoding="utf-8", newline="\n")
-
-    def close(self):
-        try:
-            super().close()
-        finally:
-            self._raw.close()
+    adapters = {}
+    for role, spec in ROLES.items():
+        replay, mock = _ADAPTER_CLASSES[spec.kind]
+        path = getattr(cfg, f"replay_{role}")
+        adapters[role] = replay(path) if path else (mock() if mock_fallback else None)
+    return AdapterSet(**adapters)
 
 
 def open_text(path, mode):
     if str(path).endswith(".gz"):
         if "w" in mode:
-            return _GzTextWriter(path)
+            return GzipTextWriter(path)
         return gzip.open(path, "rt", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 
@@ -251,108 +244,101 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
                 k += 1
             maps[side] = (ordinals, scoring)
 
-        jobs = []  # (adapter, side, column, mt?)
-        if adapters.lm_base:
-            jobs.append((adapters.lm_base, "tgt", "srp_base_gpt2", False))
-        if adapters.lm_ft:
-            jobs.append((adapters.lm_ft, "tgt", "srp_ft_gpt2", False))
-        if adapters.src_lm_base:
-            jobs.append((adapters.src_lm_base, "src", "srp_base_gpt2", False))
-        if adapters.src_lm_ft:
-            jobs.append((adapters.src_lm_ft, "src", "srp_ft_gpt2", False))
-        if adapters.mt_base:
-            jobs.append((adapters.mt_base, "tgt", "srp_base_mt", True))
-        if adapters.mt_ft:
-            jobs.append((adapters.mt_ft, "tgt", "srp_ft_mt", True))
-
-        subw_sums = {}
-        for adapter, side, column, is_mt in jobs:
-            parsed = sides[side]
-            ordinals, scoring = maps[side]
-            if is_mt:
-                scored = surprisal.score_mt(src_text, parsed, adapter)
-                bits = surprisal.subword_bits(parsed, _MTProxy(adapter, src_text),
-                                              cap=None)
+        # extra keys of the src, tgt and pair sidecar records
+        extra = {"src": {}, "tgt": {}, "pair": {}}
+        for role, spec in ROLES.items():
+            if spec.column is None:
+                continue
+            adapter = getattr(adapters, role)
+            parsed = sides[spec.side]
+            mean = None
+            if adapter:
+                ordinals, scoring = maps[spec.side]
+                if spec.kind == "mt":
+                    scored = surprisal.score_mt(src_text, parsed, adapter)
+                    bits = surprisal.subword_bits(
+                        parsed, partial(adapter.score, src_text), cap=None)
+                else:
+                    scored = _score_words(parsed, adapter, cfg)
+                    bits = surprisal.subword_bits(parsed, adapter.score, cfg.cap)
+                _apply_surprisal(ordinals, scoring, scored, spec.column)
+                mean = sum(bits) / len(bits) if bits else None
+            if spec.kind == "mt":
+                extra["pair"][spec.key] = mean
+                extra["pair"][spec.key.replace("mt_avs_subw", "bleu")] = \
+                    _pseudo_bleu(src_text, parsed.text, adapter)
             else:
-                scored = _score_words(parsed, adapter, cfg)
-                bits = surprisal.subword_bits(parsed, adapter, cfg.cap)
-            _apply_surprisal(ordinals, scoring, scored, column)
-            subw_sums[(side, column)] = (
-                sum(bits) / len(bits) if bits else None)
-
-        bleus = {}
-        for name, adapter in (("base_bleu", adapters.mt_base),
-                              ("ft_bleu", adapters.mt_ft)):
-            if adapter and src_text.strip() and tgt_seg.text.strip():
-                bleus[name] = surprisal.pseudo_bleu(src_text, tgt_seg.text, adapter)
-            else:
-                bleus[name] = None
+                extra[spec.side][spec.key] = mean
 
         if adapters.encoder and src_seg.words and tgt_seg.words:
-            src_emb = adapters.encoder.embed(src_seg.text, cfg.src_lang)
-            tgt_emb = adapters.encoder.embed(tgt_seg.text, cfg.tgt_lang)
-            pairs = align.subword_align([e[2] for e in src_emb],
-                                        [e[2] for e in tgt_emb],
-                                        cfg.align_threshold)
-            links, _unaligned = align.aggregate_to_words(
-                pairs,
-                _word_map_from_spans(src_seg.spans, src_emb),
-                _word_map_from_spans(tgt_seg.spans, tgt_emb),
-                cfg.align_threshold,
-                n_src_words=len(maps["src"][0]))
-            src_rows, _ = maps["src"]
-            tgt_rows, _ = maps["tgt"]
-            reverse = {}
-            for link in links:
-                srow = src_rows[link.src_word_index]
-                srow.aligned_word = [tgt_rows[t].token for t in link.tgt_word_indices]
-                srow.aligned_word_id = [str(tgt_rows[t].word_id)
-                                        for t in link.tgt_word_indices]
-                for t in link.tgt_word_indices:
-                    reverse.setdefault(t, []).append(link.src_word_index)
-            for t, sources in reverse.items():
-                trow = tgt_rows[t]
-                trow.aligned_word = [src_rows[s].token for s in sorted(sources)]
-                trow.aligned_word_id = [str(src_rows[s].word_id)
-                                        for s in sorted(sources)]
-            # the ", "-joined TSV list cannot carry surfaces that themselves
-            # contain a comma; null those alignments rather than corrupt rows
-            for rows_map in (src_rows, tgt_rows):
-                for row in rows_map.values():
-                    if row.aligned_word and any("," in t for t in row.aligned_word):
-                        log.warning("comma inside aligned surface, alignment "
-                                    "nulled for %s", row.word_id.render())
-                        row.aligned_word = None
-                        row.aligned_word_id = None
+            _align_segment(src_seg, tgt_seg, maps["src"][0], maps["tgt"][0],
+                           adapters.encoder, cfg)
 
         for side in ("src", "tgt"):
             rows_out.extend(sides[side].word_rows)
             info = seg["sides"][side]
-            rec = {"doc_id": pad_doc, "seg_id": pad_seg, "side": side,
-                   "counts": info["counts"],
-                   "n_sentences": len(sides[side].sentence_boundaries)}
-            for col, key in (("srp_base_gpt2", "base_gpt_avs_subw"),
-                             ("srp_ft_gpt2", "ft_gpt_avs_subw")):
-                rec[key] = subw_sums.get((side, col))
-            sidecar.append(rec)
+            sidecar.append({"doc_id": pad_doc, "seg_id": pad_seg, "side": side,
+                            "counts": info["counts"],
+                            "n_sentences": len(sides[side].sentence_boundaries),
+                            **extra[side]})
         sidecar.append({"doc_id": pad_doc, "seg_id": pad_seg, "side": "pair",
-                        "base_mt_avs_subw": subw_sums.get(("tgt", "srp_base_mt")),
-                        "ft_mt_avs_subw": subw_sums.get(("tgt", "srp_ft_mt")),
-                        **bleus})
+                        **extra["pair"]})
     return rows_out, sidecar
 
 
-class _MTProxy:
-    """Adapts MTAdapter.score(src, tgt) to the single-text score() shape used
-    by the subword aggregation helper."""
+def _pseudo_bleu(src_text, tgt_text, adapter):
+    """Pseudo-BLEU of one MT adapter, or None without an adapter, without
+    text on either side, or when the adapter fails."""
+    if not (adapter and src_text.strip() and tgt_text.strip()):
+        return None
+    try:
+        return surprisal.pseudo_bleu(src_text, tgt_text, adapter)
+    except Exception as exc:
+        log.warning("adapter %s failed, pseudo-BLEU nulled: %s",
+                    getattr(adapter, "name", adapter), exc)
+        return None
 
-    def __init__(self, mt, src_text):
-        self.mt = mt
-        self.src_text = src_text
-        self.name = getattr(mt, "name", "mt")
 
-    def score(self, text):
-        return self.mt.score(self.src_text, text)
+def _align_segment(src_seg, tgt_seg, src_rows, tgt_rows, encoder, cfg: RunConfig):
+    """Fill aligned_word(_id) on both sides from mutual-softmax subword links.
+    An encoder failure leaves the segment's alignments null."""
+    try:
+        src_emb = encoder.embed(src_seg.text, cfg.src_lang)
+        tgt_emb = encoder.embed(tgt_seg.text, cfg.tgt_lang)
+    except Exception as exc:
+        log.warning("adapter %s failed, alignments nulled: %s",
+                    getattr(encoder, "name", encoder), exc)
+        return
+    pairs = align.subword_align([e[2] for e in src_emb],
+                                [e[2] for e in tgt_emb],
+                                cfg.align_threshold)
+    links, _unaligned = align.aggregate_to_words(
+        pairs,
+        _word_map_from_spans(src_seg.spans, src_emb),
+        _word_map_from_spans(tgt_seg.spans, tgt_emb),
+        cfg.align_threshold,
+        n_src_words=len(src_rows))
+    reverse = {}
+    for link in links:
+        srow = src_rows[link.src_word_index]
+        srow.aligned_word = [tgt_rows[t].token for t in link.tgt_word_indices]
+        srow.aligned_word_id = [str(tgt_rows[t].word_id)
+                                for t in link.tgt_word_indices]
+        for t in link.tgt_word_indices:
+            reverse.setdefault(t, []).append(link.src_word_index)
+    for t, sources in reverse.items():
+        trow = tgt_rows[t]
+        trow.aligned_word = [src_rows[s].token for s in sorted(sources)]
+        trow.aligned_word_id = [str(src_rows[s].word_id) for s in sorted(sources)]
+    # the ", "-joined TSV list cannot carry surfaces that themselves
+    # contain a comma; null those alignments rather than corrupt rows
+    for rows_map in (src_rows, tgt_rows):
+        for row in rows_map.values():
+            if row.aligned_word and any("," in t for t in row.aligned_word):
+                log.warning("comma inside aligned surface, alignment "
+                            "nulled for %s", row.word_id.render())
+                row.aligned_word = None
+                row.aligned_word_id = None
 
 
 def annotate_corpus(segments, cfg: RunConfig, adapters: AdapterSet):

@@ -54,26 +54,3 @@ def standardize(text: str, lang: str | None = None) -> str:
             continue
         out.append(CHARMAP.get(ch, ch))
     return _SPACE_RUN.sub(" ", "".join(out))
-
-
-_WORD_HYPHEN = re.compile(r"(?<=\w)-(?=\w)")
-
-
-def force_tokenize_hyphens(text: str) -> str:
-    """Mark intra-word hyphens as token boundaries for a tokenizer adapter.
-
-    A hyphen becomes a boundary (spaces inserted around it) when both
-    neighbours are word characters and at least one is a letter; digit-digit
-    hyphens (numeric ranges like 20-30) are left alone.  This only prepares
-    tokenizer input; the vertical format keeps hyphenated surface tokens as
-    single units.
-    """
-
-    def mark(m: re.Match) -> str:
-        left = m.string[m.start() - 1]
-        right = m.string[m.end()]
-        if left.isalpha() or right.isalpha():
-            return " - "
-        return "-"
-
-    return _WORD_HYPHEN.sub(mark, text)

@@ -1,4 +1,4 @@
-"""Word-level surprisal in bits, segment aggregates, and pseudo-BLEU.
+"""Word-level surprisal in bits, subword bits, and pseudo-BLEU.
 
 Surprisal of a unit is the negative base-2 log probability of its subwords
 under the scoring model, summed in log space.  Model subwords rarely line up
@@ -233,7 +233,9 @@ def score_sliding_window(seg, adapter, window: int = WINDOW):
     slice of the window preceding subwords plus itself, taking the final
     subword's log probability.  Earlier positions keep the plain scores, so
     segments at most window subwords long match score_segment_bounded
-    exactly.
+    exactly.  A slice whose last subword is not subword i (retokenization
+    drift) nulls the segment with note "window_drift", as an adapter error
+    does with "adapter_error".
     """
     try:
         subs = adapter.score(seg.text)
@@ -243,6 +245,12 @@ def score_sliding_window(seg, adapter, window: int = WINDOW):
             got = adapter.score(detokenize_pieces(ctx))
             if not got:
                 raise ValueError("adapter returned no subwords for window slice")
+            if got[-1].surface != subs[i].surface:
+                log.warning("adapter %s window slice ends in %r, not %r; "
+                            "segment retained with null bits",
+                            getattr(adapter, "name", adapter),
+                            got[-1].surface, subs[i].surface)
+                return _all_failed(seg.words, note="window_drift")
             rescored[i] = replace(subs[i], logprob2=got[-1].logprob2)
     except Exception as exc:
         log.warning("adapter %s failed, segment retained with null bits: %s",
@@ -266,20 +274,12 @@ def score_mt(src_text: str, seg, adapter):
     return realign_cascade(build_units(subs), seg.words)
 
 
-def segment_aggregates(word_surprisals, subword_bits=None):
-    """(token-level mean over non-null word bits, subword-level mean)."""
-    vals = [w.bits for w in word_surprisals if w.bits is not None]
-    avs_token = sum(vals) / len(vals) if vals else None
-    avs_subw = None
-    if subword_bits:
-        avs_subw = sum(subword_bits) / len(subword_bits)
-    return avs_token, avs_subw
-
-
-def subword_bits(seg, adapter, cap: int = SUBWORD_CAP):
-    """Raw per-subword bits for the subword-level aggregate."""
+def subword_bits(seg, score, cap: int = SUBWORD_CAP):
+    """Raw per-subword bits of seg.text for the subword-level aggregate.
+    score maps a text to its subword scores: an LM adapter's score, or an MT
+    adapter's score with the source text bound."""
     try:
-        subs = adapter.score(seg.text)
+        subs = score(seg.text)
     except Exception:
         return []
     return [max(0.0, -sw.logprob2) for sw in subs[:cap]]

@@ -130,6 +130,41 @@ def _parse(cell: str, column: str, kind: str):
         raise TableError(f"column {column!r}: cannot parse {cell!r}: {exc}") from exc
 
 
+def _is_path(sink) -> bool:
+    return isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
+
+
+class GzipTextWriter(io.TextIOWrapper):
+    """UTF-8 text over one gzip member with mtime 0 and an empty file name, so
+    equal content gives equal bytes wherever and whenever it is written.
+
+    The sink is a path, opened and closed here, or a binary stream, which is
+    left open (GzipFile never closes a stream it was handed)."""
+
+    def __init__(self, sink):
+        self._own = open(sink, "wb") if _is_path(sink) else None
+        gz = gzip.GzipFile(filename="", fileobj=self._own or sink, mode="wb", mtime=0)
+        super().__init__(gz, encoding="utf-8", newline="\n")
+
+    def close(self):
+        try:
+            super().close()
+        finally:
+            if self._own is not None:
+                self._own.close()
+
+
+def write_tsv(sink, header, rows, provenance: dict | None = None) -> None:
+    """Sorted "# key=value" provenance lines, the header, then one line per
+    row of already serialized cells, as gzip TSV to a path or binary stream."""
+    with GzipTextWriter(sink) as out:
+        for key in sorted(provenance or {}):
+            out.write(f"# {key}={provenance[key]}\n")
+        out.write("\t".join(header) + "\n")
+        for cells in rows:
+            out.write("\t".join(cells) + "\n")
+
+
 def write_table(rows: Iterable, format: str, sink, provenance: dict | None = None) -> None:
     """Serialize records to a gzip TSV byte stream or path."""
     if format not in SCHEMA:
@@ -143,35 +178,21 @@ def write_table(rows: Iterable, format: str, sink, provenance: dict | None = Non
                 f"format {format!r} expects {rec_type.__name__} rows, got {type(r).__name__}")
 
     extra_cols = sorted({k for r in rows for k in r.extra})
-    header = columns + extra_cols
 
-    own = isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
-    raw = open(sink, "wb") if own else sink
-    try:
-        # filename="" keeps the member header free of the output path, so
-        # equal content gives equal bytes wherever it is written
-        with gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0) as gz:
-            out = io.TextIOWrapper(gz, encoding="utf-8", newline="\n")
-            if provenance:
-                for key in sorted(provenance):
-                    out.write(f"# {key}={provenance[key]}\n")
-            out.write("\t".join(header) + "\n")
-            for idx, r in enumerate(rows):
-                cells = []
-                for col in columns:
-                    try:
-                        cells.append(_serialize(getattr(r, _attr_name(col)), col, _kind(col)))
-                    except TableError as exc:
-                        raise TableError(f"row {idx}: {exc}") from exc
-                for col in extra_cols:
-                    v = r.extra.get(col)
-                    cells.append("NA" if v is None else _check_text(str(v), col))
-                out.write("\t".join(cells) + "\n")
-            out.flush()
-            out.detach()
-    finally:
-        if own:
-            raw.close()
+    def cells():
+        for idx, r in enumerate(rows):
+            row = []
+            for col in columns:
+                try:
+                    row.append(_serialize(getattr(r, _attr_name(col)), col, _kind(col)))
+                except TableError as exc:
+                    raise TableError(f"row {idx}: {exc}") from exc
+            for col in extra_cols:
+                v = r.extra.get(col)
+                row.append("NA" if v is None else _check_text(str(v), col))
+            yield row
+
+    write_tsv(sink, columns + extra_cols, cells(), provenance)
 
 
 def read_table(source, format: str) -> list:
@@ -181,7 +202,7 @@ def read_table(source, format: str) -> list:
     columns = SCHEMA[format]
     rec_type = _RECORD_TYPES[format]
 
-    own = isinstance(source, (str, bytes)) or hasattr(source, "__fspath__")
+    own = _is_path(source)
     raw = open(source, "rb") if own else source
     try:
         with gzip.open(raw, "rt", encoding="utf-8", newline="\n") as f:

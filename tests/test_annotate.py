@@ -8,7 +8,6 @@ from wordbits.annotate import (
     MockParser,
     ReplayParser,
     annotate_segment,
-    surface_map,
     validate_sentence_tree,
 )
 from wordbits.ids import ItemId
@@ -90,7 +89,7 @@ def test_example_tree_fields(parsed_example):
 
 
 def test_example_spans(parsed_example):
-    spans = surface_map(parsed_example)
+    spans = parsed_example.spans
     assert spans[0] == (0, 4)      # It's
     assert spans[1] == (5, 8)      # all
     assert spans[2] is None        # FP rows carry no span

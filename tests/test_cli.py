@@ -22,6 +22,7 @@ from conftest import (
 )
 import wordbits
 from wordbits import pipeline
+from wordbits.adapters import write_replay
 from wordbits.cli import main
 from wordbits.ids import ItemId
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
@@ -144,6 +145,40 @@ def test_rerun_is_byte_identical(pipeline_run):
         assert main(pipeline_run["argv"][stage]) == 0
     for n in names:
         assert (pipeline_run["dir"] / n).read_bytes() == before[n], n
+
+
+def test_source_lm_replay_flag(pipeline_run, tmp_path, capsys):
+    """--replay-src-lm-base scores the source side; a manifest naming an
+    unknown role is an error record, not a silently ignored entry."""
+    src_lm = tmp_path / "src_lm.jsonl"
+    subwords = [{"surface": w, "logprob": -2.0, "begins_word": True}
+                for w in SRC_TEXT.split()]
+    write_replay(src_lm, {"kind": "causal_lm", "name": "src-gpt2", "log_base": "2"},
+                 [({"text": SRC_TEXT}, subwords)])
+    clean = str(pipeline_run["dir"] / "clean.jsonl.gz")
+    out = tmp_path / "out"
+    assert main(["annotate", "--input", clean,
+                 "--replay", str(pipeline_run["dir"] / "replay.json"),
+                 "--replay-src-lm-base", str(src_lm), "--output-dir", str(out),
+                 "--direction", "de-en", "--mode", "sp", "--workers", "1"]) == 0
+    rows = read_table(out / "vertical.tsv.gz", "vertical")
+    src = [r for r in rows if r.lang == "DE"]
+    assert [r.srp_base_gpt2 for r in src] == [2.0] * len(SRC_TEXT.split())
+    assert all(r.srp_ft_gpt2 is None for r in src)
+    with gzip.open(out / "vertical.tsv.gz", "rt", encoding="utf-8") as f:
+        prov = dict(ln[2:].rstrip("\n").split("=", 1) for ln in f if ln.startswith("# "))
+    assert prov["adapter_src_lm_base"] == "src-gpt2"
+    assert "adapter_src_lm_ft" not in prov
+    capsys.readouterr()
+
+    manifest = tmp_path / "bad.json"
+    manifest.write_text(json.dumps({"lm-base": str(src_lm), "lm-huge": str(src_lm)}),
+                        encoding="utf-8")
+    assert main(["annotate", "--input", clean, "--output-dir", str(tmp_path / "bad"),
+                 "--replay", str(manifest)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    assert "'lm-huge'" in record["message"]
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):

@@ -1,0 +1,115 @@
+"""Corpus pipeline on the worked example: one failure policy for every
+adapter role, and the segment aggregates."""
+
+import logging
+
+import pytest
+
+from wordbits import pipeline
+from wordbits.adapters import AdapterError
+from wordbits.config import RunConfig
+from wordbits.ids import ItemId
+from wordbits.records import WordRow
+
+SRP_COLUMNS = ("srp_base_gpt2", "srp_ft_gpt2", "srp_base_mt", "srp_ft_mt")
+
+
+class Raising:
+    """Forwards to an adapter, except that one method raises."""
+
+    def __init__(self, inner, method):
+        self.inner = inner
+        self.method = method
+        self.name = inner.name
+
+    def __getattr__(self, attr):
+        if attr != self.method:
+            return getattr(self.inner, attr)
+
+        def fail(*args):
+            raise AdapterError(f"injected {attr} failure")
+        return fail
+
+
+@pytest.fixture(scope="module")
+def example_segments(example_input_tsv):
+    cfg = RunConfig(lpair="de-en", mode="sp")
+    return pipeline.normalize_rows(pipeline.read_input_tsv(example_input_tsv), cfg)
+
+
+def _annotate(segments, replay_files, faults=None):
+    cfg = RunConfig(lpair="de-en", mode="sp", workers=1,
+                    **{f"replay_{role}": path for role, path in replay_files.items()})
+    adapters = pipeline.adapters_from_config(cfg)
+    for role, method in (faults or {}).items():
+        setattr(adapters, role, Raising(getattr(adapters, role), method))
+    return pipeline.annotate_corpus(segments, cfg, adapters)
+
+
+def _surprisal(rows):
+    return [(str(r.word_id),) + tuple(getattr(r, c) for c in SRP_COLUMNS)
+            for r in rows]
+
+
+def test_roles_declare_every_adapter_set_field():
+    assert list(pipeline.ROLES) == list(pipeline.AdapterSet.__dataclass_fields__)
+    assert pipeline.AdapterSet() == pipeline.AdapterSet(**dict.fromkeys(pipeline.ROLES))
+    for role, spec in pipeline.ROLES.items():
+        assert hasattr(RunConfig(), f"replay_{role}")
+        assert (spec.column is None) == (spec.kind in ("encoder", "parser"))
+
+
+def test_encoder_failure_nulls_alignments_keeps_rows(example_segments,
+                                                      replay_files, caplog):
+    rows, sidecar = _annotate(example_segments, replay_files)
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        got, got_sidecar = _annotate(example_segments, replay_files,
+                                     {"encoder": "embed"})
+    assert len(got) == len(rows)
+    assert _surprisal(got) == _surprisal(rows)
+    assert any(r.srp_base_mt is not None for r in got)
+    assert any(r.aligned_word for r in rows)
+    assert all(r.aligned_word is None and r.aligned_word_id is None for r in got)
+    assert got_sidecar == sidecar
+    assert "alignments nulled" in caplog.text
+
+
+@pytest.mark.parametrize("role, bleu", [("mt_base", "base_bleu"),
+                                        ("mt_ft", "ft_bleu")])
+def test_mt_argmax_failure_nulls_bleu_keeps_rows(example_segments, replay_files,
+                                                 caplog, role, bleu):
+    rows, sidecar = _annotate(example_segments, replay_files)
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        got, got_sidecar = _annotate(example_segments, replay_files,
+                                     {role: "predict_argmax"})
+    assert len(got) == len(rows)
+    assert _surprisal(got) == _surprisal(rows)
+    assert any(r.srp_base_mt is not None for r in got)
+    pair, got_pair = sidecar[-1], got_sidecar[-1]
+    assert pair[bleu] == 100.0
+    assert got_pair[bleu] is None
+    assert {**got_pair, bleu: pair[bleu]} == pair
+    assert [r.aligned_word for r in got] == [r.aligned_word for r in rows]
+    assert "pseudo-BLEU nulled" in caplog.text
+
+
+def _row(k, bits, pos=None):
+    return WordRow(word_id=ItemId("SI", "SP", "DE", "EN", "001", "01", f"{k:03d}",
+                                  explicit_mode=False),
+                   token="euh" if pos == "FP" else f"w{k}", pos=pos,
+                   srp_base_gpt2=bits, doc_id="001", seg_id="01", lpair="de-en",
+                   lang="EN", mode="sp", ttype="SI")
+
+
+def test_aggregate_rows_token_mean_skips_null_word_bits():
+    rows = [_row(1, 2.0), _row(2, None), _row(3, None, pos="FP"), _row(4, 4.0)]
+    sidecar = [{"doc_id": "001", "seg_id": "01", "side": "tgt",
+                "base_gpt_avs_subw": 2.0}]
+    longs, _wides = pipeline.aggregate_rows(rows, sidecar, RunConfig())
+    assert longs[0].base_gpt_avs == 3.0
+    assert longs[0].base_gpt_avs_subw == 2.0
+    assert longs[0].wc_tok == 3
+
+    longs, _wides = pipeline.aggregate_rows([_row(1, None)])
+    assert longs[0].base_gpt_avs is None
+    assert longs[0].base_gpt_avs_subw is None

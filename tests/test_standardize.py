@@ -1,4 +1,4 @@
-from wordbits.standardize import force_tokenize_hyphens, standardize
+from wordbits.standardize import standardize
 
 NUL = chr(0)
 ZWSP = chr(0x200B)
@@ -29,13 +29,3 @@ def test_idempotent():
         once = standardize(s)
         assert standardize(once) == once
 
-
-def test_hyphen_between_letters_spaced():
-    assert force_tokenize_hyphens("well-intended") == "well - intended"
-    assert force_tokenize_hyphens("EU-weit und US-Dollar") == \
-        "EU - weit und US - Dollar"
-
-
-def test_hyphen_next_to_digit():
-    assert force_tokenize_hyphens("1990-1995") == "1990-1995"
-    assert force_tokenize_hyphens("S-21") == "S - 21"

@@ -21,7 +21,6 @@ from wordbits.surprisal import (
     score_mt,
     score_segment_bounded,
     score_sliding_window,
-    segment_aggregates,
     sentence_bleu_exp,
     subword_bits,
 )
@@ -265,22 +264,41 @@ def test_window_rescores_against_explicit_slice():
                for a, b in zip(out[64:], bounded[64:]))
 
 
+
+class SliceLM:
+    """Scores the full text with canned subwords and every window slice with
+    a response that ends in the given surface."""
+
+    name = "slice"
+
+    def __init__(self, text, subs, slice_end):
+        self.text = text
+        self.subs = subs
+        self.slice_end = slice_end
+
+    def score(self, text):
+        if text == self.text:
+            return self.subs
+        return [_sw("b", 1.0), _sw(self.slice_end, 9.0)]
+
+
+def test_window_drift_nulls_segment_with_note():
+    subs = [_sw("a", 1.0), _sw("b", 1.0), _sw("c", 1.0)]
+    job = ScoringJob("a b c", ["a", "b", "c"])
+    kept = score_sliding_window(job, SliceLM("a b c", subs, "c"), window=2)
+    assert [w.bits for w in kept] == [1.0, 1.0, 9.0]
+
+    drifted = score_sliding_window(job, SliceLM("a b c", subs, "x"), window=2)
+    assert len(drifted) == 3
+    assert all(w.bits is None and w.recovery_rule == "failed"
+               and w.note == "window_drift" for w in drifted)
+
+
 # --- aggregates and BLEU ---------------------------------------------------
-
-def test_segment_aggregates_token_mean_skips_nulls():
-    ws = [WordSurprisal(0, 2.0, 1, "none"),
-          WordSurprisal(1, None, 0, "failed"),
-          WordSurprisal(2, 4.0, 1, "none")]
-    avs, avs_subw = segment_aggregates(ws, subword_bits=[1.0, 2.0, 3.0])
-    assert avs == 3.0
-    assert avs_subw == 2.0
-    assert segment_aggregates([WordSurprisal(0, None, 0, "failed")]) == \
-        (None, None)
-
 
 def test_subword_bits_capped():
     subs = [_sw(f"w{i}", 1.0) for i in range(10)]
-    vals = subword_bits(ScoringJob("irrelevant", []), FixedLM(subs), cap=4)
+    vals = subword_bits(ScoringJob("irrelevant", []), FixedLM(subs).score, cap=4)
     assert vals == [1.0] * 4
 
 
