@@ -16,7 +16,7 @@ import sys
 
 from . import __version__, build, gam, pipeline
 from .config import RunConfig, config_hash, load_config
-from .fp import PREDICTORS, build_fp_dataset, fit_logistic
+from .fp import GROUPING_FIELDS, PREDICTORS, build_fp_dataset, fit_logistic
 from .records import ParallelSegment
 from .tables import read_table, write_table, write_tsv
 
@@ -219,7 +219,8 @@ def cmd_fp_analyze(args) -> int:
     src_rows = [r for r in rows if r.ttype == cfg.src_ttype]
     direction = cfg.lpair.upper()
     data = build_fp_dataset(tgt_rows, src_rows, direction, variant=args.variant)
-    intercepts = tuple(args.random_intercepts.split(","))
+    # "" names no factor: a plain GLM
+    intercepts = tuple(f for f in args.random_intercepts.split(",") if f)
     fit = fit_logistic(data, random_intercepts=intercepts)
     prov = _provenance(cfg, "fp-analyze", variant=args.variant,
                        direction=direction,
@@ -308,7 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.add_argument("--variant", choices=("base", "ft"), default="base")
     p.add_argument("--random-intercepts", default="speaker_id",
-                   help="comma separated grouping factors")
+                   help="comma separated grouping factors, of "
+                   f"{', '.join(GROUPING_FIELDS)}; empty for a plain GLM")
     p.set_defaults(func=cmd_fp_analyze)
 
     p = sub.add_parser("gam", help="smooth LM-vs-MT surprisal curve")

@@ -2,9 +2,12 @@
 regression, concordance, and model comparison.
 
 The estimator is a penalized-likelihood logistic fit with Gaussian random
-intercepts: a joint damped Newton step over fixed effects and group
-deviations, alternating with an EM-style variance update, and a Laplace
-approximation to the marginal likelihood for AIC.  Numpy/scipy only.
+intercepts.  At fixed variances, damped Newton steps run jointly over fixed
+effects and group deviations; each variance is chosen by a bounded scalar
+search over log sigma^2 that maximizes the Laplace approximation to the
+marginal likelihood, which also gives the AIC.  Group membership is kept as
+integer level codes, so no n x q indicator matrix is built.  Numpy/scipy
+only.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -21,6 +25,7 @@ log = logging.getLogger(__name__)
 
 PREDICTORS = ("nxtwS_tgt", "nxtwS_src", "nxtwS_mt",
               "AvS_tgt", "AvS_src", "AvS_mt")
+GROUPING_FIELDS = ("speaker_id", "doc_id", "direction")
 
 
 class SeparationError(RuntimeError):
@@ -159,22 +164,117 @@ def _check_separation(X, y, names):
             raise SeparationError(name)
 
 
-def _design(data, predictors):
-    X = np.column_stack(
-        [np.ones(len(data))] +
-        [np.array([getattr(o, p) for o in data], dtype=float) for p in predictors])
-    y = np.array([o.outcome for o in data], dtype=float)
-    return X, y
-
-
-def _group_matrix(data, factor):
-    labels = [getattr(o, factor) for o in data]
+def _group_codes(factor, labels, offset):
+    """Sorted levels of one grouping factor and each observation's level
+    code, offset by the levels of the factors before it so the codes index
+    the joint random-effects vector u directly: Z @ u is a gather and
+    Z' @ v a bincount, and the n x q indicator matrix Z is never formed."""
+    missing = labels.count(None)
+    if missing:
+        raise ValueError(f"random intercept {factor!r}: {missing} of "
+                         f"{len(labels)} observations have no label")
     levels = sorted(set(labels))
-    index = {g: k for k, g in enumerate(levels)}
-    Z = np.zeros((len(data), len(levels)))
-    for i, g in enumerate(labels):
-        Z[i, index[g]] = 1.0
-    return Z, levels
+    index = {g: offset + k for k, g in enumerate(levels)}
+    return np.array([index[g] for g in labels], dtype=np.intp), levels
+
+
+def _design(data, predictors, factors):
+    """X (intercept first), y, and per factor its offset level codes and
+    level count.
+
+    The numbers stream straight into one float array, so no per-observation
+    tuple outlives its row: a table of n live tuples sets off
+    garbage-collector passes, and a full pass walks every object the
+    process holds, the caller's n observations included."""
+    names = ("outcome", *predictors)
+    get = attrgetter(*names)
+    # attrgetter of a single name returns the bare value, not a 1-tuple
+    row = get if len(names) > 1 else (lambda o: (get(o),))
+    n, k = len(data), len(predictors)
+    flat = np.fromiter((v for o in data for v in row(o)), dtype=float,
+                       count=n * len(names)).reshape(n, len(names))
+    y = flat[:, 0].copy()
+    X = np.ones((n, 1 + k))
+    X[:, 1:] = flat[:, 1:]
+    codes, sizes = [], []
+    for factor in factors:
+        labels = list(map(attrgetter(factor), data))
+        c, levels = _group_codes(factor, labels, sum(sizes))
+        codes.append(c)
+        sizes.append(len(levels))
+    return X, y, codes, sizes
+
+
+def _linear_predictor(X, codes, beta, u):
+    return X @ beta + sum(u[c] for c in codes)
+
+
+def _hessian(X, codes, w, d):
+    """Penalized Hessian [[X'WX, X'WZ], [Z'WX, Z'WZ + diag(d)]] of the joint
+    (beta, u) problem, with Z given by its offset level codes.
+
+    Z'WZ is diagonal within a factor; between two crossed factors it is the
+    w-weighted cross-tabulation of their codes."""
+    p, q = X.shape[1], d.size
+    Xw = X * w[:, None]
+    H = np.zeros((p + q, p + q))
+    H[:p, :p] = X.T @ Xw
+    H_bu, H_uu = H[:p, p:], H[p:, p:]
+    diag = d.copy()
+    for k, c in enumerate(codes):
+        for j in range(p):
+            H_bu[j] += np.bincount(c, weights=Xw[:, j], minlength=q)
+        diag += np.bincount(c, weights=w, minlength=q)
+        for c2 in codes[k + 1:]:
+            cross = np.bincount(c * q + c2, weights=w,
+                                minlength=q * q).reshape(q, q)
+            H_uu += cross + cross.T
+    H_uu[np.diag_indices(q)] += diag
+    H[p:, :p] = H_bu.T
+    return H
+
+
+class _Reduced:
+    """The penalized Hessian H with the first factor's levels eliminated.
+
+    Within one factor Z'WZ is diagonal, so that block D is eliminated in
+    closed form.  What remains is the Schur complement
+    S = H_rr - H_ra D^-1 H_ar over the fixed effects and the other factors'
+    levels: p x p for one factor, where H is (p+q) x (p+q).  Solves with H,
+    log det of its random-effects block and the fixed-effects block of H^-1
+    all come from S.  LAPACK runs its (p+q)-square factorizations on
+    several threads, whose workers spin between Newton steps and make the
+    fit's wall time depend on what else the machine runs; the small S is
+    factored on the calling thread alone."""
+
+    def __init__(self, H, p, m):
+        a = slice(p, p + m)
+        self.p, self.a = p, a
+        self.keep = np.r_[0:p, p + m:H.shape[0]]
+        self.D = np.diagonal(H)[a].copy()
+        self.B = H[self.keep, a]
+        self.S = H[np.ix_(self.keep, self.keep)] - (self.B / self.D) @ self.B.T
+
+    def solve(self, g):
+        g_a = g[self.a] / self.D
+        rhs = g[self.keep] - self.B @ g_a
+        try:
+            x_r = np.linalg.solve(self.S, rhs)
+        except np.linalg.LinAlgError:
+            x_r = np.linalg.lstsq(self.S, rhs, rcond=None)[0]
+        x = np.empty_like(g)
+        x[self.keep] = x_r
+        x[self.a] = g_a - (self.B.T @ x_r) / self.D
+        return x
+
+    def logdet_uu(self):
+        """log det of the random-effects block H[p:, p:]."""
+        _sign, rest = np.linalg.slogdet(self.S[self.p:, self.p:])
+        return float(np.sum(np.log(self.D))) + float(rest)
+
+    def fixed_cov(self):
+        """The fixed-effects block of H^-1."""
+        return np.linalg.inv(self.S)[:self.p, :self.p]
 
 
 def _penalized_loglik(y, eta, u, d):
@@ -182,35 +282,28 @@ def _penalized_loglik(y, eta, u, d):
     return ll - 0.5 * float(u @ (d * u))
 
 
-def _pirls(X, y, Z, d, max_iter, tol):
-    """Joint damped Newton over (beta, u) at fixed penalty d."""
+def _weights(X, codes, beta, u):
+    eta = _linear_predictor(X, codes, beta, u)
+    mu = _sigmoid(eta)
+    return eta, mu, np.clip(mu * (1.0 - mu), 1e-10, None)
+
+
+def _pirls(X, y, codes, d, m, max_iter, tol):
+    """Joint damped Newton over (beta, u) at fixed penalty d; m is the
+    first factor's level count."""
     p = X.shape[1]
-    q = Z.shape[1]
+    q = d.size
     beta = np.zeros(p)
     pbar = min(max(float(y.mean()), 1e-9), 1.0 - 1e-9)
     beta[0] = math.log(pbar / (1.0 - pbar))
     u = np.zeros(q)
     trace = []
     for _ in range(max_iter):
-        eta = X @ beta + (Z @ u if q else 0.0)
-        mu = _sigmoid(eta)
-        w = np.clip(mu * (1.0 - mu), 1e-10, None)
-        g_beta = X.T @ (y - mu)
-        g_u = (Z.T @ (y - mu) - d * u) if q else np.zeros(0)
-        grad = np.concatenate([g_beta, g_u])
-
-        Xw = X * w[:, None]
-        H_bb = X.T @ Xw
-        if q:
-            H_bu = Xw.T @ Z
-            H_uu = Z.T @ (Z * w[:, None]) + np.diag(d)
-            H = np.block([[H_bb, H_bu], [H_bu.T, H_uu]])
-        else:
-            H = H_bb
-        try:
-            step = np.linalg.solve(H, grad)
-        except np.linalg.LinAlgError:
-            step = np.linalg.lstsq(H, grad, rcond=None)[0]
+        eta, mu, w = _weights(X, codes, beta, u)
+        resid = y - mu
+        g_u = sum(np.bincount(c, weights=resid, minlength=q) for c in codes)
+        grad = np.concatenate([X.T @ resid, g_u - d * u])
+        step = _Reduced(_hessian(X, codes, w, d), p, m).solve(grad)
 
         cur = _penalized_loglik(y, eta, u, d)
         trace.append(cur)
@@ -218,7 +311,8 @@ def _pirls(X, y, Z, d, max_iter, tol):
         for _ in range(30):
             nb = beta + scale * step[:p]
             nu = u + scale * step[p:]
-            if _penalized_loglik(y, X @ nb + (Z @ nu if q else 0.0), nu, d) >= cur - 1e-12:
+            if _penalized_loglik(y, _linear_predictor(X, codes, nb, nu),
+                                 nu, d) >= cur - 1e-12:
                 break
             scale *= 0.5
         beta = beta + scale * step[:p]
@@ -231,61 +325,54 @@ def _pirls(X, y, Z, d, max_iter, tol):
     raise ConvergenceError(f"no convergence in {max_iter} iterations", trace)
 
 
-def _laplace_loglik(X, y, Z, d, beta, u):
-    q = Z.shape[1]
-    eta = X @ beta + (Z @ u if q else 0.0)
+def _laplace_loglik(X, y, codes, d, m, beta, u):
+    eta, _mu, w = _weights(X, codes, beta, u)
     ll_data = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
-    if not q:
+    if not d.size:
         return ll_data
-    mu = _sigmoid(eta)
-    w = np.clip(mu * (1.0 - mu), 1e-10, None)
-    H_uu = Z.T @ (Z * w[:, None]) + np.diag(d)
-    _sign, logdet_huu = np.linalg.slogdet(H_uu)
+    logdet_huu = _Reduced(_hessian(X, codes, w, d), X.shape[1], m).logdet_uu()
     return (ll_data - 0.5 * float(u @ (d * u))
-            + 0.5 * float(np.sum(np.log(d))) - 0.5 * logdet_huu)
+            + 0.5 * float(np.sum(np.log(d))) - 0.5 * float(logdet_huu))
 
 
 def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
                  max_iter: int = 200, tol: float = 1e-9) -> FitResult:
     """Mixed-effects logistic regression of FP occurrence.
 
-    random_intercepts names grouping attributes on the observations (empty
-    for a plain GLM).  The variance of each random intercept maximizes the
-    Laplace marginal likelihood (bounded scalar search in log space; the EM
-    update crawls when a variance sits near zero).  AIC counts one variance
-    parameter per factor; C is the concordance of the conditional fitted
-    probabilities.
+    random_intercepts names GROUPING_FIELDS of the observations (empty for a
+    plain GLM); an unknown name, or an observation without a label for a
+    named field, raises ValueError.  The variance of each random intercept
+    maximizes the Laplace marginal likelihood (bounded scalar search in log
+    space; the EM update crawls when a variance sits near zero).  AIC
+    counts one variance parameter per factor; C is the concordance of the
+    conditional fitted probabilities.
     """
     data = list(data)
     if not data:
         raise ValueError("empty dataset")
-    X, y = _design(data, predictors)
+    factors = tuple(random_intercepts or ())
+    unknown = [f for f in factors if f not in GROUPING_FIELDS]
+    if unknown:
+        raise ValueError(f"unknown random-intercept factor(s) {unknown}; "
+                         f"grouping fields are {', '.join(GROUPING_FIELDS)}")
+    X, y, codes, sizes = _design(data, predictors, factors)
     if y.min() == y.max():
         raise ValueError("outcomes are single-class")
     _check_separation(X[:, 1:], y, predictors)
 
-    factors = [f for f in random_intercepts or ()]
-    blocks = []
-    for f in factors:
-        Z_f, levels = _group_matrix(data, f)
-        blocks.append((f, Z_f, len(levels)))
-    Z = (np.concatenate([b[1] for b in blocks], axis=1)
-         if blocks else np.zeros((len(y), 0)))
-    q = Z.shape[1]
     p = X.shape[1]
+    m = sizes[0] if sizes else 0  # levels of the factor eliminated first
     sigma2 = {f: 1.0 for f in factors}
 
     def d_vector(s2):
-        if not blocks:
-            return np.zeros(0)
-        return np.concatenate([np.full(n, 1.0 / s2[f]) for f, _, n in blocks])
+        return np.repeat([1.0 / s2[f] for f in factors], sizes)
 
     def profile(s2):
         d = d_vector(s2)
-        beta, u, _ = _pirls(X, y, Z, d, max_iter, tol)
-        return _laplace_loglik(X, y, Z, d, beta, u), beta, u
+        beta, u, _ = _pirls(X, y, codes, d, m, max_iter, tol)
+        return _laplace_loglik(X, y, codes, d, m, beta, u), beta, u
 
-    if q:
+    if factors:
         log_lo, log_hi = math.log(1e-8), math.log(1e3)
         for _sweep in range(8):
             previous = dict(sigma2)
@@ -304,21 +391,11 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
 
     d = d_vector(sigma2)
     loglik, beta, u = profile(sigma2)
-    eta = X @ beta + (Z @ u if q else 0.0)
-    mu = _sigmoid(eta)
-    w = np.clip(mu * (1.0 - mu), 1e-10, None)
+    _eta, mu, w = _weights(X, codes, beta, u)
 
     # standard errors from the beta block of the inverse penalized Hessian
-    Xw = X * w[:, None]
-    H_bb = X.T @ Xw
-    if q:
-        H_bu = Xw.T @ Z
-        H_uu = Z.T @ (Z * w[:, None]) + np.diag(d)
-        H = np.block([[H_bb, H_bu], [H_bu.T, H_uu]])
-    else:
-        H = H_bb
-    cov = np.linalg.inv(H)
-    se = np.sqrt(np.clip(np.diag(cov)[:p], 0.0, None))
+    cov = _Reduced(_hessian(X, codes, w, d), p, m).fixed_cov()
+    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     names = ("intercept",) + tuple(predictors)
     k_params = p + len(factors)
@@ -378,10 +455,11 @@ def simulate_observations(n: int, beta, group_sd: float = 0.3,
     u = rng.normal(scale=group_sd, size=n_groups)
     eta = beta[0] + Xs @ beta[1:] + u[groups]
     y = (rng.random(n) < _sigmoid(eta)).astype(int)
+    labels = [(f"spk{g:03d}", f"{g % 7:03d}") for g in range(n_groups)]
     out = []
-    for i in range(n):
-        kw = {name: float(Xs[i, j]) for j, name in enumerate(PREDICTORS)}
-        out.append(FPObservation(outcome=int(y[i]), speaker_id=f"spk{groups[i]:03d}",
-                                 doc_id=f"{groups[i] % 7:03d}", direction=direction,
-                                 **kw))
+    # FPObservation's predictor fields follow PREDICTORS, in order
+    for row, outcome, g in zip(Xs.tolist(), y.tolist(), groups.tolist()):
+        speaker, doc = labels[g]
+        out.append(FPObservation(outcome, *row, speaker_id=speaker, doc_id=doc,
+                                 direction=direction))
     return out

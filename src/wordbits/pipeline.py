@@ -256,8 +256,11 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
                 ordinals, scoring = maps[spec.side]
                 if spec.kind == "mt":
                     scored = surprisal.score_mt(src_text, parsed, adapter)
-                    bits = surprisal.subword_bits(
+                    # no source, no translation to score: the mean stays
+                    # null like the word bits score_mt nulls
+                    bits = (surprisal.subword_bits(
                         parsed, partial(adapter.score, src_text), cap=None)
+                        if src_text.strip() else [])
                 else:
                     scored = _score_words(parsed, adapter, cfg)
                     bits = surprisal.subword_bits(parsed, adapter.score, cfg.cap)

@@ -24,6 +24,7 @@ import wordbits
 from wordbits import pipeline
 from wordbits.adapters import write_replay
 from wordbits.cli import main
+from wordbits.fp import PREDICTORS
 from wordbits.ids import ItemId
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
 from wordbits.tables import read_table, write_table
@@ -324,6 +325,45 @@ def test_fp_analyze_subcommand(tmp_path):
     assert terms[0] == "intercept" and "nxtwS_tgt" in terms
     for ln in body[1:]:
         float(ln.split("\t")[1])  # estimates parse
+
+
+def _fp_analyze(tmp_path, *extra):
+    vertical = tmp_path / "vertical.tsv.gz"
+    write_table(_fp_vertical_rows(), "vertical", vertical)
+    return main(["fp-analyze", "--input", str(vertical),
+                 "--output-dir", str(tmp_path), "--direction", "de-en",
+                 "--mode", "sp", *extra])
+
+
+def _fp_provenance(tmp_path):
+    with gzip.open(tmp_path / "fp_model.tsv.gz", "rt", encoding="utf-8") as f:
+        return dict(ln[2:].rstrip("\n").split("=", 1) for ln in f
+                    if ln.startswith("# "))
+
+
+def test_fp_analyze_header_fit_values_are_numbers(tmp_path):
+    assert _fp_analyze(tmp_path) == 0
+    prov = _fp_provenance(tmp_path)
+    for key in ("aic", "c", "loglik", "sigma2_speaker_id"):
+        float(prov[key])  # not e.g. "np.float64(...)"
+
+
+def test_fp_analyze_empty_random_intercepts_fits_glm(tmp_path):
+    assert _fp_analyze(tmp_path, "--random-intercepts", "") == 0
+    prov = _fp_provenance(tmp_path)
+    assert not [k for k in prov if k.startswith("sigma2_")]
+    assert float(prov["aic"]) == pytest.approx(
+        2.0 * (1 + len(PREDICTORS)) - 2.0 * float(prov["loglik"]))
+
+
+def test_fp_analyze_unknown_factor_lists_grouping_fields(tmp_path, capsys):
+    assert _fp_analyze(tmp_path, "--random-intercepts", "speaker_id,spekaer") == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    assert "spekaer" in record["message"]
+    for name in ("speaker_id", "doc_id", "direction"):
+        assert name in record["message"]
+    assert not (tmp_path / "fp_model.tsv.gz").exists()
 
 
 def test_gam_subcommand(tmp_path):

@@ -1,6 +1,7 @@
 """Mixed logistic model and FP dataset construction."""
 
 import dataclasses
+import gc
 import math
 
 import numpy as np
@@ -44,6 +45,28 @@ def test_simulate_observations_columns_are_zscored():
         assert abs(col.std() - 1.0) < 1e-9
 
 
+def test_simulate_observations_matches_reference_loop():
+    # the per-element construction simulate_observations replaced
+    beta = np.array((-1.0, 0.4, -0.3, 0.2, 0.1, 0.0, -0.1))
+    rng = np.random.default_rng(11)
+    Xs = rng.normal(size=(500, len(PREDICTORS)))
+    Xs = (Xs - Xs.mean(axis=0)) / Xs.std(axis=0)
+    groups = rng.integers(0, 30, size=500)
+    u = rng.normal(scale=0.5, size=30)
+    eta = beta[0] + Xs @ beta[1:] + u[groups]
+    y = (rng.random(500) < fp._sigmoid(eta)).astype(int)
+    want = []
+    for i in range(500):
+        kw = {name: float(Xs[i, j]) for j, name in enumerate(PREDICTORS)}
+        want.append(FPObservation(outcome=int(y[i]), speaker_id=f"spk{groups[i]:03d}",
+                                  doc_id=f"{groups[i] % 7:03d}", direction="EN-DE",
+                                  **kw))
+    got = simulate_observations(500, beta, group_sd=0.5, n_groups=30, seed=11,
+                                direction="EN-DE")
+    assert got == want
+    assert all(type(o.outcome) is int and type(o.nxtwS_tgt) is float for o in got)
+
+
 def test_recovery_on_simulated_data():
     # module example: strong intercept, one active predictor, rest null
     beta = (-3.0, 0.5, 0.0, 0.0, 0.0, 0.0, 0.0)
@@ -83,6 +106,14 @@ def test_convergence_error_carries_trace():
     assert "trace" in str(exc.value)
     assert len(exc.value.trace) >= 1
     assert all(isinstance(v, float) for v in exc.value.trace)
+
+
+def test_missing_group_label_names_factor_and_count():
+    data = simulate_observations(200, (-1.0, 0.4, 0, 0, 0, 0, 0), seed=4)
+    for o in data[:3]:
+        o.speaker_id = None
+    with pytest.raises(ValueError, match=r"'speaker_id': 3 of 200 observations"):
+        fit_logistic(data)
 
 
 def test_single_class_outcomes_rejected():
@@ -304,3 +335,111 @@ def test_build_fp_dataset_ft_variant_reads_ft_columns():
     assert len(data) == 3
     raw_tgt = zscore([1.0, 4.0, 2.0], "nxtwS_tgt")
     assert [o.nxtwS_tgt for o in data] == pytest.approx(raw_tgt.tolist())
+
+
+# ---------------------------------------------------------------- pinned fits
+
+# Fits of simulate_observations(3000, FIT_BETA, n_groups=40, seed=0) by the
+# dense-indicator implementation that the group-code fit replaced.  The
+# variance search stops at xatol=1e-6 on log sigma^2, so variances and SEs
+# are pinned to 1e-5 relative, everything else to 1e-6.
+FIT_BETA = (-1.2, 0.5, -0.4, 0.3, -0.25, 0.2, -0.15)
+
+PINNED_FITS = {
+    ("speaker_id",): {
+        "coefficients": {
+            "intercept": -1.1404721632755992, "nxtwS_tgt": 0.5754127040872412,
+            "nxtwS_src": -0.4380561189237429, "nxtwS_mt": 0.3044004326099729,
+            "AvS_tgt": -0.2304303653879107, "AvS_src": 0.15471339735145598,
+            "AvS_mt": -0.11081805403851226},
+        "std_errors": {
+            "intercept": 0.06005302723448368, "nxtwS_tgt": 0.04658014250651974,
+            "nxtwS_src": 0.04578713936479367, "nxtwS_mt": 0.04468818420436837,
+            "AvS_tgt": 0.044312099361847886, "AvS_src": 0.04452908621507107,
+            "AvS_mt": 0.0439066500627226},
+        "variances": {"speaker_id": 0.05764326107537843},
+        "loglik": -1576.3412647731616, "aic": 3168.682529546323,
+        "c": 0.7266770221939481,
+    },
+    ("speaker_id", "doc_id"): {
+        "coefficients": {
+            "intercept": -1.1474036312579228, "nxtwS_tgt": 0.5751562406891763,
+            "nxtwS_src": -0.4386871171982762, "nxtwS_mt": 0.30369347328088386,
+            "AvS_tgt": -0.22802923263890607, "AvS_src": 0.15676506812179375,
+            "AvS_mt": -0.11101255407365966},
+        "std_errors": {
+            "intercept": 0.0862898151765766, "nxtwS_tgt": 0.046582976716029505,
+            "nxtwS_src": 0.045807144189861204, "nxtwS_mt": 0.04470746281375786,
+            "AvS_tgt": 0.04430971464782747, "AvS_src": 0.04452283809656265,
+            "AvS_mt": 0.04387577732895426},
+        "variances": {"speaker_id": 0.02274393728941085,
+                      "doc_id": 0.03283019334897171},
+        "loglik": -1574.1687423051733, "aic": 3166.3374846103466,
+        "c": 0.7250180397481404,
+    },
+}
+
+
+def test_hessian_matches_dense_indicator_reference():
+    data = simulate_observations(300, FIT_BETA, n_groups=12, seed=2)
+    X, y, codes, sizes = fp._design(data, PREDICTORS, ("speaker_id", "doc_id"))
+    n, q = len(y), sum(sizes)
+    assert sizes == [len({o.speaker_id for o in data}), len({o.doc_id for o in data})]
+    Z = np.zeros((n, q))  # the indicator matrix the codes stand for
+    for c in codes:
+        Z[np.arange(n), c] = 1.0
+    rng = np.random.default_rng(0)
+    w = rng.uniform(0.05, 0.25, n)
+    d = rng.uniform(0.5, 3.0, q)
+    beta = rng.normal(size=X.shape[1])
+    u = rng.normal(size=q)
+    Xw = X * w[:, None]
+    dense = np.block([[X.T @ Xw, Xw.T @ Z],
+                      [Z.T @ Xw, Z.T @ (Z * w[:, None]) + np.diag(d)]])
+    np.testing.assert_allclose(fp._hessian(X, codes, w, d), dense,
+                               rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(fp._linear_predictor(X, codes, beta, u),
+                               X @ beta + Z @ u, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("factors", list(PINNED_FITS), ids="+".join)
+def test_fit_matches_pinned_dense_fit(factors):
+    want = PINNED_FITS[factors]
+    data = simulate_observations(3000, FIT_BETA, n_groups=40, seed=0)
+    fit = fit_logistic(data, random_intercepts=factors)
+    assert fit.coefficients == pytest.approx(want["coefficients"], rel=1e-6)
+    assert fit.std_errors == pytest.approx(want["std_errors"], rel=1e-5)
+    assert fit.variances == pytest.approx(want["variances"], rel=1e-5)
+    for key in ("loglik", "aic", "c"):
+        assert getattr(fit, key) == pytest.approx(want[key], rel=1e-6), key
+        assert type(getattr(fit, key)) is float, key
+
+
+@pytest.mark.parametrize("factors", [(), ("speaker_id",), ("speaker_id", "doc_id")],
+                         ids=lambda f: "+".join(f) or "none")
+def test_reduced_hessian_matches_dense_algebra(factors):
+    data = simulate_observations(300, FIT_BETA, n_groups=12, seed=2)
+    X, y, codes, sizes = fp._design(data, PREDICTORS, factors)
+    p, q = X.shape[1], sum(sizes)
+    rng = np.random.default_rng(1)
+    w = rng.uniform(0.05, 0.25, len(y))
+    d = rng.uniform(0.5, 3.0, q)
+    H = fp._hessian(X, codes, w, d)
+    g = rng.normal(size=p + q)
+    reduced = fp._Reduced(H, p, sizes[0] if sizes else 0)
+    np.testing.assert_allclose(reduced.solve(g), np.linalg.solve(H, g),
+                               rtol=1e-10, atol=1e-12)
+    np.testing.assert_allclose(reduced.fixed_cov(), np.linalg.inv(H)[:p, :p],
+                               rtol=1e-10, atol=1e-12)
+    want = np.linalg.slogdet(H[p:, p:])[1]
+    assert reduced.logdet_uu() == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+
+def test_design_read_sets_off_no_collection_of_older_objects():
+    data = simulate_observations(20000, FIT_BETA, n_groups=40, seed=0)
+    gc.collect()
+    before = [s["collections"] for s in gc.get_stats()]
+    fp._design(data, PREDICTORS, ("speaker_id", "doc_id"))
+    after = [s["collections"] for s in gc.get_stats()]
+    # a pass over generation 1 or 2 walks objects the caller already held
+    assert after[1:] == before[1:]

@@ -93,6 +93,30 @@ def test_mt_argmax_failure_nulls_bleu_keeps_rows(example_segments, replay_files,
     assert "pseudo-BLEU nulled" in caplog.text
 
 
+def test_empty_source_leaves_mt_subword_mean_null(tmp_path):
+    p = tmp_path / "input.tsv"
+    p.write_text(
+        "doc_id\tseg_id\tsrc_speaker_id\ttgt_speaker_id\tsrc_raw\ttgt_raw\n"
+        "1\t1\tfDE1\tfEN3\t\tthree short words here\n"
+        "1\t2\tfDE1\tfEN3\tdrei kurze Wörter\tthree short words here\n",
+        encoding="utf-8")
+    cfg = RunConfig(lpair="de-en", mode="sp", workers=1)
+    segments = pipeline.normalize_rows(pipeline.read_input_tsv(str(p)), cfg)
+    adapters = pipeline.adapters_from_config(cfg, mock_fallback=True)
+    rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    empty, full = [r for r in sidecar if r["side"] == "pair"]
+    tgt = [r for r in rows if r.lang == "EN"]
+    for role in ("mt_base", "mt_ft"):
+        spec = pipeline.ROLES[role]
+        assert empty[spec.key] is None
+        assert full[spec.key] is not None
+        assert [getattr(r, spec.column) is None for r in tgt] == \
+            [r.seg_id == tgt[0].seg_id for r in tgt]
+    # the target LM means do not depend on the source side
+    tgt_sides = [r for r in sidecar if r["side"] == "tgt"]
+    assert tgt_sides[0]["base_gpt_avs_subw"] == tgt_sides[1]["base_gpt_avs_subw"]
+
+
 def _row(k, bits, pos=None):
     return WordRow(word_id=ItemId("SI", "SP", "DE", "EN", "001", "01", f"{k:03d}",
                                   explicit_mode=False),
