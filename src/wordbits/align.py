@@ -10,15 +10,13 @@ pairs are then averaged up to word level through subword-to-word maps.
 from __future__ import annotations
 
 import numpy as np
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass
 class AlignmentLink:
     src_word_index: int
     tgt_word_indices: list  # sorted, non-empty
-    scores: list = field(default_factory=list)  # per target word, same order
-    score: float = 0.0  # mean over kept targets
 
     def __post_init__(self):
         assert self.tgt_word_indices, "links must have at least one target"
@@ -31,14 +29,11 @@ def _softmax(x, axis):
     return e / e.sum(axis=axis, keepdims=True)
 
 
-def subword_align(src_emb, tgt_emb, threshold: float = 0.01,
-                  require_both: bool = True):
-    """Subword pairs (i, j, score) whose directional softmax values pass the
-    threshold.
+def subword_align(src_emb, tgt_emb, threshold: float = 0.01):
+    """Subword pairs (i, j, score) whose directional softmax values both pass
+    the threshold; the score is their mean.
 
-    src_emb, tgt_emb: arrays or vector lists, one row per subword.  With
-    require_both (default) the threshold applies to each direction; the
-    relaxed variant thresholds only the mean.
+    src_emb, tgt_emb: arrays or vector lists, one row per subword.
     """
     S = np.asarray(src_emb, dtype=float) @ np.asarray(tgt_emb, dtype=float).T
     if S.ndim != 2:
@@ -46,10 +41,7 @@ def subword_align(src_emb, tgt_emb, threshold: float = 0.01,
     A = _softmax(S, axis=1)  # src -> tgt
     B = _softmax(S, axis=0)  # tgt -> src
     M = (A + B) / 2.0
-    if require_both:
-        keep = (A > threshold) & (B > threshold)
-    else:
-        keep = M > threshold
+    keep = (A > threshold) & (B > threshold)
     pairs = set()
     for i, j in zip(*np.nonzero(keep)):
         pairs.add((int(i), int(j), float(M[i, j])))
@@ -60,17 +52,17 @@ def aggregate_to_words(pairs, src_map, tgt_map, threshold: float = 0.01,
                        n_src_words=None):
     """Average kept subword pairs up to (source word, target word) links.
 
-    src_map/tgt_map take a subword index to its word index; subwords without
-    a word (FPs, expansions) map to None and are skipped.  A word-level link
-    is kept when its mean pair score clears the threshold.  Returns
-    (links, unaligned source word indices).
+    src_map/tgt_map are dicts from a subword index to its word index;
+    subwords without a word (FPs, expansions) map to None and are skipped.
+    A word-level link is kept when its mean pair score clears the threshold.
+    Returns (links, unaligned source word indices).
     """
     sums = {}
     counts = {}
     seen_src = set()
     for i, j, score in pairs:
-        ws = src_map.get(i) if hasattr(src_map, "get") else src_map(i)
-        wt = tgt_map.get(j) if hasattr(tgt_map, "get") else tgt_map(j)
+        ws = src_map.get(i)
+        wt = tgt_map.get(j)
         if ws is None or wt is None:
             continue
         seen_src.add(ws)
@@ -80,19 +72,10 @@ def aggregate_to_words(pairs, src_map, tgt_map, threshold: float = 0.01,
 
     by_src = {}
     for (ws, wt), total in sums.items():
-        mean = total / counts[(ws, wt)]
-        if mean > threshold:
-            by_src.setdefault(ws, []).append((wt, mean))
+        if total / counts[(ws, wt)] > threshold:
+            by_src.setdefault(ws, []).append(wt)
 
-    links = []
-    for ws in sorted(by_src):
-        tgts = sorted(by_src[ws])
-        links.append(AlignmentLink(
-            src_word_index=ws,
-            tgt_word_indices=[t for t, _ in tgts],
-            scores=[s for _, s in tgts],
-            score=sum(s for _, s in tgts) / len(tgts),
-        ))
+    links = [AlignmentLink(ws, sorted(by_src[ws])) for ws in sorted(by_src)]
 
     if n_src_words is None:
         universe = seen_src

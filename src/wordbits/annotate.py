@@ -10,7 +10,9 @@ their original positions with pos == "FP" and nulls everywhere else.
 from __future__ import annotations
 
 import logging
+from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .adapters import AdapterError, _ReplayBase
 from .records import WordRow
@@ -195,11 +197,7 @@ def _map_to_ws_tokens(surfaces, ws_tokens, raw_seg):
     first character falls in.  The parser must not invent or drop characters;
     anything else raises AdapterError."""
     target = "".join(ws_tokens)
-    starts = []
-    pos = 0
-    for i, t in enumerate(ws_tokens):
-        starts.append((pos, pos + len(t), i))
-        pos += len(t)
+    starts = list(accumulate((len(t) for t in ws_tokens[:-1]), initial=0))
     cursor = 0
     owners = []
     for form in surfaces:
@@ -208,8 +206,9 @@ def _map_to_ws_tokens(surfaces, ws_tokens, raw_seg):
             raise AdapterError(
                 f"parsed token {form!r} does not match segment text at offset "
                 f"{cursor} ({raw_seg[:60]!r}...)")
-        owner = next(i for lo, hi, i in starts if lo <= cursor < hi)
-        owners.append(owner)
+        if cursor >= len(target):
+            raise AdapterError(f"parsed token {form!r} lies past the segment text")
+        owners.append(bisect_right(starts, cursor) - 1)
         cursor += len(key)
     if cursor != len(target):
         raise AdapterError("parse did not cover the full segment text")

@@ -54,21 +54,15 @@ class RunConfig:
         return "SI" if self.mode == "sp" else "TR"
 
 
-_FIELDS = {f.name: f.type for f in fields(RunConfig)}
+_FIELDS = [f.name for f in fields(RunConfig)]
 
 
 def _coerce(name: str, value: str):
+    # every field without a numeric default is a string
     default = getattr(RunConfig(), name)
-    if isinstance(default, bool):
-        return value.lower() in ("1", "true", "yes")
     if isinstance(default, int):
         return int(value)
     if isinstance(default, float):
-        return float(value)
-    ftype = str(_FIELDS.get(name, ""))
-    if "int" in ftype:
-        return int(value)
-    if "float" in ftype:
         return float(value)
     return value
 

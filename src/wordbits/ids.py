@@ -73,9 +73,6 @@ class ItemId:
     def __str__(self) -> str:
         return self.render()
 
-    def seg_prefix(self) -> "ItemId":
-        return replace(self, word_id=None, sub_index=None)
-
     def with_word(self, word_id: str, sub_index: int | None = None) -> "ItemId":
         return replace(self, word_id=word_id, sub_index=sub_index)
 

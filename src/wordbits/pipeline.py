@@ -11,6 +11,7 @@ import gzip
 import json
 import logging
 import os
+from bisect import bisect_right
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import field, make_dataclass
 from functools import partial
@@ -180,16 +181,14 @@ def _score_words(seg, adapter, cfg: RunConfig):
 
 def _word_map_from_spans(spans, emb):
     """Map encoder subword indexes to surface-word ordinals via char spans."""
-    intervals = [(sp[0], sp[1], idx) for idx, sp in spans.items() if sp is not None]
-    intervals.sort()
+    intervals = sorted((sp[0], sp[1], idx) for idx, sp in spans.items() if sp is not None)
+    starts = [lo for lo, _, _ in intervals]
     mapping = {}
     for k, (_surface, (start, _end), _vec) in enumerate(emb):
-        owner = None
-        for lo, hi, idx in intervals:
-            if lo <= start < hi:
-                owner = idx
-                break
-        mapping[k] = owner
+        # spans do not overlap: only the last one starting at or before
+        # `start` can contain it
+        at = bisect_right(starts, start) - 1
+        mapping[k] = intervals[at][2] if at >= 0 and start < intervals[at][1] else None
     return mapping
 
 

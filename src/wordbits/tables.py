@@ -1,18 +1,28 @@
 """Readers and writers for the gzip TSV corpus formats (vertical, long, wide).
 
-The column orders are frozen in data/columns.txt.  Cells are UTF-8, tab
-separated, no quoting; "NA" is the sole null marker (an empty cell is the
-empty string, not null).  Writers emit optional "#"-prefixed provenance
-lines before the header; readers skip them.  Gzip members are written with
-mtime=0 so identical content yields identical bytes.
+The column orders are frozen in data/columns.txt.  Each format's columns are
+the fields of its record type in records.py, in the same order; a column's
+field is its name lower-cased, with "+" spelled "_plus_".  Cell types come
+from the field annotations (ItemId, int, float, list[str] or str, each
+optionally "| None"), read once per format when this module is imported, and
+a manifest that disagrees with its record type fails the import.
+
+Cells are UTF-8, tab separated, no quoting; "NA" is the sole null marker (an
+empty cell is the empty string, not null).  List cells are ", "-joined,
+except the space-joined tokens column.  Writers emit optional "#"-prefixed
+provenance lines before the header; readers skip them.  Gzip members are
+written with mtime=0 so identical content yields identical bytes.
 """
 
 from __future__ import annotations
 
 import gzip
 import io
+from dataclasses import fields
 from importlib import resources
-from typing import Iterable
+from operator import attrgetter
+from types import UnionType
+from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
 from wordbits.ids import ItemId, parse_item_id
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
@@ -45,89 +55,64 @@ def load_schema() -> dict[str, list[str]]:
     return schema
 
 
-SCHEMA = load_schema()
-
-# column name -> (record attribute, cell kind)
-_KIND_OVERRIDES = {
-    "word_id": "itemid",
-    "id": "int",
-    "head_id": "int",
-    "aligned_word": "list",
-    "aligned_word_id": "list",
-    "disfluencies": "int",
-    "fillers": "int",
-    "fillers+3": "int",
-    "wc_tok": "int",
-    "tokens": "tokens",
-}
-_FLOAT_PREFIXES = ("srp_",)
-_FLOAT_SUFFIXES = ("_AvS", "_AvS_subw", "_bleu")
-
-_RECORD_TYPES = {"vertical": WordRow, "long": SegmentRecord, "wide": SegmentPairRecord}
-
-
-def _attr_name(column: str) -> str:
-    return column.replace("+3", "_plus_3").replace("AvS", "avs")
-
-
-def _kind(column: str) -> str:
-    if column in _KIND_OVERRIDES:
-        return _KIND_OVERRIDES[column]
-    if column.startswith(_FLOAT_PREFIXES) or column.endswith(_FLOAT_SUFFIXES):
-        return "float"
-    return "str"
-
-
-def _check_text(value: str, column: str) -> str:
+def _text(value) -> str:
+    value = str(value)
     if "\t" in value or "\n" in value:
-        raise TableError(f"column {column!r}: embedded tab/newline is not serializable")
+        raise TableError("embedded tab/newline is not serializable")
     if value == "NA":
-        raise TableError(f"column {column!r}: the literal string 'NA' is reserved for nulls")
+        raise TableError("the literal string 'NA' is reserved for nulls")
     return value
 
 
-def _serialize(value, column: str, kind: str) -> str:
-    if value is None:
-        return "NA"
-    if kind == "itemid":
-        return value.render()
-    if kind == "int":
-        return str(int(value))
-    if kind == "float":
-        return repr(float(value))
-    if kind == "list":
-        parts = [str(v) for v in value]
+def _list_codec(sep: str, banned: str, problem: str):
+    def serialize(values) -> str:
+        parts = [_text(v) for v in values]
         for p in parts:
-            _check_text(p, column)
-            if "," in p:
-                raise TableError(f"column {column!r}: comma inside list element {p!r}")
-        return ", ".join(parts)
-    if kind == "tokens":
-        for p in value:
-            _check_text(p, column)
-            if " " in p:
-                raise TableError(f"column {column!r}: space inside token {p!r}")
-        return " ".join(value)
-    return _check_text(str(value), column)
+            if banned in p:
+                raise TableError(f"{problem} {p!r}")
+        return sep.join(parts)
+
+    def parse(cell: str) -> list[str]:
+        return cell.split(sep) if cell else []
+
+    return serialize, parse
 
 
-def _parse(cell: str, column: str, kind: str):
-    if cell == "NA":
-        return None
-    try:
-        if kind == "itemid":
-            return parse_item_id(cell)
-        if kind == "int":
-            return int(cell)
-        if kind == "float":
-            return float(cell)
-        if kind == "list":
-            return cell.split(", ") if cell else []
-        if kind == "tokens":
-            return cell.split(" ") if cell else []
-        return cell
-    except (ValueError, TypeError) as exc:
-        raise TableError(f"column {column!r}: cannot parse {cell!r}: {exc}") from exc
+# annotation (without "| None") -> (serialize, parse); None is always "NA"
+_CODECS = {
+    ItemId: (ItemId.render, parse_item_id),
+    int: (lambda v: str(int(v)), int),
+    float: (lambda v: repr(float(v)), float),
+    str: (_text, str),
+    list[str]: _list_codec(", ", ",", "comma inside list element"),
+}
+_TOKENS = _list_codec(" ", " ", "space inside token")
+
+
+def column_plan(columns: list[str], rec_type) -> list[tuple]:
+    """(column, attribute, serialize, parse) per column of a format whose rows
+    are rec_type; raises TableError unless the columns name rec_type's fields
+    in order and every field has a supported annotation."""
+    hints = get_type_hints(rec_type)
+    names = [f.name for f in fields(rec_type) if f.name != "extra"]
+    if [c.lower().replace("+", "_plus_") for c in columns] != names:
+        raise TableError(f"manifest columns {columns} are not the fields of "
+                         f"{rec_type.__name__} in order: {names}")
+    plan = []
+    for column, name in zip(columns, names):
+        hint = hints[name]
+        if get_origin(hint) in (Union, UnionType):  # drop "| None"
+            hint = Union[tuple(a for a in get_args(hint) if a is not type(None))]
+        codec = _TOKENS if column == "tokens" and hint == list[str] else _CODECS.get(hint)
+        if codec is None:
+            raise TableError(f"{rec_type.__name__}.{name}: unsupported annotation {hints[name]!r}")
+        plan.append((column, name, *codec))
+    return plan
+
+
+SCHEMA = load_schema()
+_RECORD_TYPES = {"vertical": WordRow, "long": SegmentRecord, "wide": SegmentPairRecord}
+PLANS = {fmt: column_plan(SCHEMA[fmt], rec_type) for fmt, rec_type in _RECORD_TYPES.items()}
 
 
 def _is_path(sink) -> bool:
@@ -165,11 +150,15 @@ def write_tsv(sink, header, rows, provenance: dict | None = None) -> None:
             out.write("\t".join(cells) + "\n")
 
 
+def _plan_for(format: str) -> list[tuple]:
+    if format not in PLANS:
+        raise TableError(f"unknown format {format!r}")
+    return PLANS[format]
+
+
 def write_table(rows: Iterable, format: str, sink, provenance: dict | None = None) -> None:
     """Serialize records to a gzip TSV byte stream or path."""
-    if format not in SCHEMA:
-        raise TableError(f"unknown format {format!r}")
-    columns = SCHEMA[format]
+    plan = _plan_for(format)
     rec_type = _RECORD_TYPES[format]
     rows = list(rows)
     for r in rows:
@@ -178,66 +167,56 @@ def write_table(rows: Iterable, format: str, sink, provenance: dict | None = Non
                 f"format {format!r} expects {rec_type.__name__} rows, got {type(r).__name__}")
 
     extra_cols = sorted({k for r in rows for k in r.extra})
+    # attrgetter, not vars(): a row's __dict__, once asked for, stays built
+    values_of = attrgetter(*(attr for _, attr, _, _ in plan))
 
     def cells():
         for idx, r in enumerate(rows):
             row = []
-            for col in columns:
-                try:
-                    row.append(_serialize(getattr(r, _attr_name(col)), col, _kind(col)))
-                except TableError as exc:
-                    raise TableError(f"row {idx}: {exc}") from exc
-            for col in extra_cols:
-                v = r.extra.get(col)
-                row.append("NA" if v is None else _check_text(str(v), col))
+            try:
+                for (column, _, serialize, _), v in zip(plan, values_of(r)):
+                    row.append("NA" if v is None else serialize(v))
+                for column in extra_cols:
+                    v = r.extra.get(column)
+                    row.append("NA" if v is None else _text(v))
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise TableError(f"row {idx}: column {column!r}: {exc}") from exc
             yield row
 
-    write_tsv(sink, columns + extra_cols, cells(), provenance)
+    write_tsv(sink, SCHEMA[format] + extra_cols, cells(), provenance)
 
 
 def read_table(source, format: str) -> list:
     """Read records back from a gzip TSV byte stream or path."""
-    if format not in SCHEMA:
-        raise TableError(f"unknown format {format!r}")
-    columns = SCHEMA[format]
+    plan = _plan_for(format)
     rec_type = _RECORD_TYPES[format]
+    columns = SCHEMA[format]
+    with gzip.open(source, "rt", encoding="utf-8", newline="\n") as f:
+        header = next((line for line in f if not line.startswith("#")), None)
+        if header is None:
+            raise TableError("missing header row")
+        header = header.rstrip("\n").split("\t")
+        missing = [c for c in columns if c not in header]
+        if missing:
+            raise TableError(f"missing required columns: {missing}")
+        pos = {c: header.index(c) for c in header}
+        fields_at = [(column, attr, parse, pos[column]) for column, attr, _, parse in plan]
+        extras_at = [(c, pos[c]) for c in header if c not in columns]
 
-    own = _is_path(source)
-    raw = open(source, "rb") if own else source
-    try:
-        with gzip.open(raw, "rt", encoding="utf-8", newline="\n") as f:
-            header = None
-            for line in f:
-                if line.startswith("#"):
-                    continue
-                header = line.rstrip("\n").split("\t")
-                break
-            if header is None:
-                raise TableError("missing header row")
-            missing = [c for c in columns if c not in header]
-            if missing:
-                raise TableError(f"missing required columns: {missing}")
-            extra_cols = [c for c in header if c not in columns]
-            pos = {c: header.index(c) for c in header}
-
-            rows = []
-            for lineno, line in enumerate(f, start=2):
-                cells = line.rstrip("\n").split("\t")
-                if len(cells) != len(header):
-                    raise TableError(
-                        f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
-                kwargs = {}
-                for col in columns:
-                    try:
-                        kwargs[_attr_name(col)] = _parse(cells[pos[col]], col, _kind(col))
-                    except TableError as exc:
-                        raise TableError(f"row {lineno}: {exc}") from exc
-                extra = {}
-                for col in extra_cols:
-                    cell = cells[pos[col]]
-                    extra[col] = None if cell == "NA" else cell
-                rows.append(rec_type(**kwargs, extra=extra))
-            return rows
-    finally:
-        if own:
-            raw.close()
+        rows = []
+        for lineno, line in enumerate(f, start=2):
+            cells = line.rstrip("\n").split("\t")
+            if len(cells) != len(header):
+                raise TableError(
+                    f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
+            kwargs = {}
+            try:
+                for column, attr, parse, i in fields_at:
+                    cell = cells[i]
+                    kwargs[attr] = None if cell == "NA" else parse(cell)
+            except (TypeError, ValueError) as exc:
+                raise TableError(
+                    f"row {lineno}: column {column!r}: cannot parse {cell!r}: {exc}") from exc
+            extra = {c: None if cells[i] == "NA" else cells[i] for c, i in extras_at}
+            rows.append(rec_type(**kwargs, extra=extra))
+        return rows

@@ -7,6 +7,7 @@ from wordbits.annotate import (
     ConlluToken,
     MockParser,
     ReplayParser,
+    _map_to_ws_tokens,
     annotate_segment,
     validate_sentence_tree,
 )
@@ -183,3 +184,13 @@ def test_validate_sentence_tree_problems():
 
     gap = [ConlluToken("1", "a", head=0), ConlluToken("3", "b", head=1)]
     assert any("non-contiguous" in p for p in validate_sentence_tree(gap))
+
+
+def test_map_to_ws_tokens_owner_holds_first_character():
+    ws = ["It's", "all", "well-intended."]
+    forms = ["It", "'s", "all", "well", "-", "intended", "."]
+    assert _map_to_ws_tokens(forms, ws, " ".join(ws)) == [0, 0, 1, 2, 2, 2, 2]
+    # a form that spans a space belongs to the token its first character is in
+    assert _map_to_ws_tokens(["a b", "c"], ["a", "bc"], "a bc") == [0, 1]
+    with pytest.raises(AdapterError):
+        _map_to_ws_tokens(["ab", ""], ["ab"], "ab")

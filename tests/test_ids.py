@@ -60,12 +60,10 @@ def test_sub_index_requires_word():
     assert exc.value.component == "sub_index"
 
 
-def test_with_word_and_seg_prefix():
+def test_with_word():
     seg = ItemId("SI", "SP", "DE", "EN", "030", "21", explicit_mode=False)
     w = seg.with_word("007")
     assert w.word_id == "007"
-    assert w.seg_prefix() == seg
-    assert w.seg_prefix().render() == "SI_DE_EN_030-21"
 
 
 def test_register_ttype_with_implied_mode():

@@ -2,6 +2,7 @@
 adapter role, and the segment aggregates."""
 
 import logging
+import random
 
 import pytest
 
@@ -137,3 +138,22 @@ def test_aggregate_rows_token_mean_skips_null_word_bits():
     longs, _wides = pipeline.aggregate_rows([_row(1, None)])
     assert longs[0].base_gpt_avs is None
     assert longs[0].base_gpt_avs_subw is None
+
+
+def test_word_map_from_spans_matches_linear_scan():
+    rng = random.Random(0)
+    for _ in range(200):
+        spans, pos = {}, 0
+        for idx in range(rng.randint(0, 8)):
+            if rng.random() < 0.2:
+                spans[idx] = None  # an FP or an unplaced word
+                continue
+            pos += rng.randint(0, 2)
+            length = rng.randint(0, 5)  # zero-length spans included
+            spans[idx] = (pos, pos + length)
+            pos += length
+        emb = [("x", (start, start + 1), None) for start in range(pos + 3)]
+        want = {k: next((idx for idx, sp in spans.items()
+                         if sp is not None and sp[0] <= start < sp[1]), None)
+                for k, (_, (start, _), _) in enumerate(emb)}
+        assert pipeline._word_map_from_spans(spans, emb) == want

@@ -1,13 +1,16 @@
 import gzip
+import hashlib
 import io
 import random
+import re
 import string
+from dataclasses import dataclass, field
 
 import pytest
 
 from wordbits.ids import ItemId
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
-from wordbits.tables import SCHEMA, TableError, read_table, write_table
+from wordbits.tables import SCHEMA, TableError, column_plan, read_table, write_table
 
 SAFE = string.ascii_letters + string.digits + ".!?'-"
 
@@ -234,3 +237,53 @@ def test_float_cells_use_repr_exactly():
     assert "35.35533905932738" in text
     buf.seek(0)
     assert read_table(buf, "wide")[0].base_bleu == rec.base_bleu
+
+
+# sha256 of write_table output for the round-trip test's seeded rows, recorded
+# before the column plans replaced per-cell kind dispatch
+PINNED_SHA256 = {
+    "vertical": "92927805086d98a5379744303968c7d557bcec5298a85921b4be0f72baa7f779",
+    "long": "0aa3bb1aff4443f896fe4e6f431d2dce9bbec84e8a3b2845a9b2f511acd9ad5c",
+    "wide": "b21bad1f01d73bccc992d7b0e12eca585f77920952ef4567c6872a1ffae2de54",
+}
+
+
+@pytest.mark.parametrize("format,maker,n,seed", [
+    ("vertical", _random_word_row, 400, 101),
+    ("long", _random_segment_record, 300, 102),
+    ("wide", _random_pair_record, 300, 103),
+])
+def test_write_bytes_pinned(format, maker, n, seed):
+    rng = random.Random(seed)
+    buf = io.BytesIO()
+    write_table([maker(rng) for _ in range(n)], format, buf)
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_SHA256[format]
+
+
+@pytest.mark.parametrize("attr,value,column", [
+    ("wc_tok", "x", "wc_tok"),
+    ("base_gpt_avs", "x", "base_gpt_AvS"),
+])
+def test_unconvertible_value_names_row_and_column(attr, value, column):
+    good = SegmentRecord("1", "2")
+    bad = SegmentRecord("1", "2", **{attr: value})
+    with pytest.raises(TableError, match=rf"^row 1: column '{re.escape(column)}': "):
+        write_table([good, bad], "long", io.BytesIO())
+
+
+def test_plan_rejects_column_without_field():
+    columns = SCHEMA["long"][:-1] + ["word_count"]
+    with pytest.raises(TableError, match="not the fields of SegmentRecord"):
+        column_plan(columns, SegmentRecord)
+
+
+@dataclass
+class _FlagRecord:
+    doc_id: str
+    flagged: bool | None = None
+    extra: dict = field(default_factory=dict)
+
+
+def test_plan_rejects_unsupported_annotation():
+    with pytest.raises(TableError, match="unsupported annotation"):
+        column_plan(["doc_id", "flagged"], _FlagRecord)
