@@ -5,9 +5,11 @@ The estimator is a penalized-likelihood logistic fit with Gaussian random
 intercepts.  At fixed variances, damped Newton steps run jointly over fixed
 effects and group deviations; each variance is chosen by a bounded scalar
 search over log sigma^2 that maximizes the Laplace approximation to the
-marginal likelihood, which also gives the AIC.  Group membership is kept as
-integer level codes, so no n x q indicator matrix is built.  Numpy/scipy
-only.
+marginal likelihood, which also gives the AIC.  Within one fit, each
+penalized IRLS run of that search starts from the optimum of the run
+before it, whose penalty is close; the first starts cold, and nothing is
+kept between fits.  Group membership is kept as integer level codes, so no
+n x q indicator matrix is built.  Numpy/scipy only.
 """
 
 from __future__ import annotations
@@ -277,46 +279,61 @@ class _Reduced:
         return np.linalg.inv(self.S)[:self.p, :self.p]
 
 
+def _softplus(eta):
+    """log(1 + exp(eta)), the branches of np.logaddexp(0, eta) in ufuncs
+    numpy vectorizes (logaddexp's loop it does not): about 5x faster."""
+    return np.log1p(np.exp(-np.abs(eta))) + np.maximum(eta, 0.0)
+
+
 def _penalized_loglik(y, eta, u, d):
-    ll = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    ll = float(np.sum(y * eta - _softplus(eta)))
     return ll - 0.5 * float(u @ (d * u))
 
 
-def _weights(X, codes, beta, u):
-    eta = _linear_predictor(X, codes, beta, u)
+def _weights(eta):
     mu = _sigmoid(eta)
-    return eta, mu, np.clip(mu * (1.0 - mu), 1e-10, None)
+    return mu, np.clip(mu * (1.0 - mu), 1e-10, None)
 
 
-def _pirls(X, y, codes, d, m, max_iter, tol):
+def _pirls(X, y, codes, d, m, max_iter, tol, start=None):
     """Joint damped Newton over (beta, u) at fixed penalty d; m is the
-    first factor's level count."""
+    first factor's level count.
+
+    start is a (beta, u) to begin from, such as the optimum at a nearby
+    penalty; without one the fit starts cold, at the marginal log-odds and
+    u = 0.  Each accepted line-search point carries its linear predictor
+    and penalized log-likelihood into the next iteration."""
     p = X.shape[1]
     q = d.size
-    beta = np.zeros(p)
-    pbar = min(max(float(y.mean()), 1e-9), 1.0 - 1e-9)
-    beta[0] = math.log(pbar / (1.0 - pbar))
-    u = np.zeros(q)
+    if start is None:
+        beta = np.zeros(p)
+        pbar = min(max(float(y.mean()), 1e-9), 1.0 - 1e-9)
+        beta[0] = math.log(pbar / (1.0 - pbar))
+        u = np.zeros(q)
+    else:
+        beta, u = start
+    eta = _linear_predictor(X, codes, beta, u)
+    cur = _penalized_loglik(y, eta, u, d)
     trace = []
     for _ in range(max_iter):
-        eta, mu, w = _weights(X, codes, beta, u)
+        mu, w = _weights(eta)
         resid = y - mu
         g_u = sum(np.bincount(c, weights=resid, minlength=q) for c in codes)
         grad = np.concatenate([X.T @ resid, g_u - d * u])
         step = _Reduced(_hessian(X, codes, w, d), p, m).solve(grad)
 
-        cur = _penalized_loglik(y, eta, u, d)
         trace.append(cur)
         scale = 1.0
-        for _ in range(30):
+        for halvings in range(31):
             nb = beta + scale * step[:p]
             nu = u + scale * step[p:]
-            if _penalized_loglik(y, _linear_predictor(X, codes, nb, nu),
-                                 nu, d) >= cur - 1e-12:
+            eta = _linear_predictor(X, codes, nb, nu)
+            new = _penalized_loglik(y, eta, nu, d)
+            # after 30 halvings the smallest step is taken anyway
+            if new >= cur - 1e-12 or halvings == 30:
                 break
             scale *= 0.5
-        beta = beta + scale * step[:p]
-        u = u + scale * step[p:]
+        beta, u, cur = nb, nu, new
 
         if np.abs(beta).max() > 50.0:
             raise ConvergenceError("coefficients diverged (|beta| > 50)", trace)
@@ -326,8 +343,9 @@ def _pirls(X, y, codes, d, m, max_iter, tol):
 
 
 def _laplace_loglik(X, y, codes, d, m, beta, u):
-    eta, _mu, w = _weights(X, codes, beta, u)
-    ll_data = float(np.sum(y * eta - np.logaddexp(0.0, eta)))
+    eta = _linear_predictor(X, codes, beta, u)
+    _mu, w = _weights(eta)
+    ll_data = float(np.sum(y * eta - _softplus(eta)))
     if not d.size:
         return ll_data
     logdet_huu = _Reduced(_hessian(X, codes, w, d), X.shape[1], m).logdet_uu()
@@ -367,9 +385,13 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
     def d_vector(s2):
         return np.repeat([1.0 / s2[f] for f in factors], sizes)
 
+    start = None  # each PIRLS run starts at the previous run's optimum
+
     def profile(s2):
+        nonlocal start
         d = d_vector(s2)
-        beta, u, _ = _pirls(X, y, codes, d, m, max_iter, tol)
+        beta, u, _ = _pirls(X, y, codes, d, m, max_iter, tol, start)
+        start = beta, u
         return _laplace_loglik(X, y, codes, d, m, beta, u), beta, u
 
     if factors:
@@ -391,7 +413,7 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
 
     d = d_vector(sigma2)
     loglik, beta, u = profile(sigma2)
-    _eta, mu, w = _weights(X, codes, beta, u)
+    mu, w = _weights(_linear_predictor(X, codes, beta, u))
 
     # standard errors from the beta block of the inverse penalized Hessian
     cov = _Reduced(_hessian(X, codes, w, d), p, m).fixed_cov()

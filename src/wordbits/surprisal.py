@@ -20,7 +20,7 @@ import math
 import re
 import unicodedata
 from collections import Counter
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .adapters import SubwordScore, detokenize_pieces, is_punct_text
 
@@ -226,6 +226,22 @@ def score_segment_bounded(seg, adapter, cap: int = SUBWORD_CAP):
     return realign_cascade(build_units(subs[:cap]), seg.words)
 
 
+def _piece_spans(pieces):
+    """detokenize_pieces(pieces), with each piece's start and end offset in
+    that text."""
+    parts, starts, ends = [], [], []
+    pos = 0
+    for i, p in enumerate(pieces):
+        if i and p.begins_word:
+            parts.append(" ")
+            pos += 1
+        starts.append(pos)
+        parts.append(p.surface)
+        pos += len(p.surface)
+        ends.append(pos)
+    return "".join(parts), starts, ends
+
+
 def score_sliding_window(seg, adapter, window: int = WINDOW):
     """Sliding-window scoring, stride 1, no truncation cap.
 
@@ -239,10 +255,12 @@ def score_sliding_window(seg, adapter, window: int = WINDOW):
     """
     try:
         subs = adapter.score(seg.text)
+        text, starts, ends = _piece_spans(subs)
         rescored = list(subs)
         for i in range(window, len(subs)):
-            ctx = subs[i - window + 1:i + 1]
-            got = adapter.score(detokenize_pieces(ctx))
+            # equals detokenize_pieces(subs[i - window + 1:i + 1]): a slice's
+            # first piece takes no leading space
+            got = adapter.score(text[starts[i - window + 1]:ends[i]])
             if not got:
                 raise ValueError("adapter returned no subwords for window slice")
             if got[-1].surface != subs[i].surface:
@@ -251,7 +269,9 @@ def score_sliding_window(seg, adapter, window: int = WINDOW):
                             getattr(adapter, "name", adapter),
                             got[-1].surface, subs[i].surface)
                 return _all_failed(seg.words, note="window_drift")
-            rescored[i] = replace(subs[i], logprob2=got[-1].logprob2)
+            sw = subs[i]
+            rescored[i] = SubwordScore(sw.surface, got[-1].logprob2,
+                                       sw.begins_word, sw.is_punct_unit)
     except Exception as exc:
         log.warning("adapter %s failed, segment retained with null bits: %s",
                     getattr(adapter, "name", adapter), exc)

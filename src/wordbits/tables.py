@@ -192,7 +192,13 @@ def read_table(source, format: str) -> list:
     rec_type = _RECORD_TYPES[format]
     columns = SCHEMA[format]
     with gzip.open(source, "rt", encoding="utf-8", newline="\n") as f:
-        header = next((line for line in f if not line.startswith("#")), None)
+        # record k sits on file line first_line + k, below the provenance
+        # lines and the header
+        header = None
+        for first_line, line in enumerate(f, start=2):
+            if not line.startswith("#"):
+                header = line
+                break
         if header is None:
             raise TableError("missing header row")
         header = header.rstrip("\n").split("\t")
@@ -204,19 +210,19 @@ def read_table(source, format: str) -> list:
         extras_at = [(c, pos[c]) for c in header if c not in columns]
 
         rows = []
-        for lineno, line in enumerate(f, start=2):
+        for idx, line in enumerate(f):
             cells = line.rstrip("\n").split("\t")
             if len(cells) != len(header):
-                raise TableError(
-                    f"row {lineno}: expected {len(header)} cells, got {len(cells)}")
+                raise TableError(f"row {idx} (line {first_line + idx}): "
+                                 f"expected {len(header)} cells, got {len(cells)}")
             kwargs = {}
             try:
                 for column, attr, parse, i in fields_at:
                     cell = cells[i]
                     kwargs[attr] = None if cell == "NA" else parse(cell)
             except (TypeError, ValueError) as exc:
-                raise TableError(
-                    f"row {lineno}: column {column!r}: cannot parse {cell!r}: {exc}") from exc
+                raise TableError(f"row {idx} (line {first_line + idx}): column "
+                                 f"{column!r}: cannot parse {cell!r}: {exc}") from exc
             extra = {c: None if cells[i] == "NA" else cells[i] for c, i in extras_at}
             rows.append(rec_type(**kwargs, extra=extra))
         return rows

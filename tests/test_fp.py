@@ -443,3 +443,53 @@ def test_design_read_sets_off_no_collection_of_older_objects():
     after = [s["collections"] for s in gc.get_stats()]
     # a pass over generation 1 or 2 walks objects the caller already held
     assert after[1:] == before[1:]
+
+
+def test_softplus_matches_logaddexp():
+    rng = np.random.default_rng(0)
+    edges = np.array([0.0, 1e-300, 36.7, 709.0, 745.0, 800.0, np.inf])
+    eta = np.concatenate([rng.normal(size=100_000), edges, -edges])
+    np.testing.assert_array_max_ulp(fp._softplus(eta), np.logaddexp(0.0, eta),
+                                    maxulp=2)
+
+
+def test_pirls_started_at_its_optimum_stops_at_once():
+    data = simulate_observations(3000, FIT_BETA, n_groups=40, seed=0)
+    X, y, codes, sizes = fp._design(data, PREDICTORS, ("speaker_id", "doc_id"))
+    d = np.repeat([1.0 / 0.05, 1.0 / 0.03], sizes)
+    tol = 1e-9
+    beta, u, trace = fp._pirls(X, y, codes, d, sizes[0], 200, tol)
+    beta2, u2, trace2 = fp._pirls(X, y, codes, d, sizes[0], 200, tol,
+                                  start=(beta, u))
+    assert len(trace2) <= 2 < len(trace)
+    np.testing.assert_allclose(beta2, beta, rtol=0, atol=tol)
+    np.testing.assert_allclose(u2, u, rtol=0, atol=tol)
+
+
+# Newton steps (len(trace), summed over the _pirls runs) of one fit_logistic
+# on the pinned sample when every PIRLS run started cold
+COLD_START_STEPS = {("speaker_id",): 96, ("speaker_id", "doc_id"): 1596}
+
+
+@pytest.mark.parametrize("factors", list(COLD_START_STEPS), ids="+".join)
+def test_warm_start_cuts_newton_steps(factors, monkeypatch):
+    steps = []
+    pirls = fp._pirls
+
+    def counting(*args, **kwargs):
+        beta, u, trace = pirls(*args, **kwargs)
+        steps.append(len(trace))
+        return beta, u, trace
+
+    monkeypatch.setattr(fp, "_pirls", counting)
+    data = simulate_observations(3000, FIT_BETA, n_groups=40, seed=0)
+    fit_logistic(data, random_intercepts=factors)
+    assert sum(steps) <= COLD_START_STEPS[factors] * 2 / 3
+
+
+def test_fit_repeats_exactly():
+    # the warm start keeps no state between calls
+    data = simulate_observations(3000, FIT_BETA, n_groups=40, seed=0)
+    a, b = fit_logistic(data), fit_logistic(data)
+    assert (a.coefficients, a.std_errors, a.variances, a.aic, a.c) == \
+        (b.coefficients, b.std_errors, b.variances, b.aic, b.c)

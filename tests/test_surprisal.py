@@ -294,6 +294,38 @@ def test_window_drift_nulls_segment_with_note():
                and w.note == "window_drift" for w in drifted)
 
 
+class RecordingLM:
+    """Scores the full text with canned pieces and records every request;
+    the k-th window slice answers with the piece it rescores."""
+
+    name = "recording"
+
+    def __init__(self, subs, window):
+        self.subs = subs
+        self.window = window
+        self.requests = []
+
+    def score(self, text):
+        self.requests.append(text)
+        if len(self.requests) == 1:
+            return self.subs
+        return [_sw(self.subs[self.window + len(self.requests) - 2].surface, 2.0)]
+
+
+def test_window_slices_are_detokenized_contexts():
+    rng = random.Random(5)
+    for _ in range(200):
+        subs = [SubwordScore("".join(rng.choice("abcxyz.'") for _ in range(rng.randint(1, 4))),
+                             -1.0, rng.random() < 0.6)
+                for _ in range(rng.randint(1, 40))]
+        window = rng.randint(1, len(subs) + 2)
+        text = detokenize_pieces(subs)
+        lm = RecordingLM(subs, window)
+        score_sliding_window(ScoringJob(text, text.split()), lm, window=window)
+        assert lm.requests == [text] + [detokenize_pieces(subs[i - window + 1:i + 1])
+                                        for i in range(window, len(subs))]
+
+
 # --- aggregates and BLEU ---------------------------------------------------
 
 def test_subword_bits_capped():

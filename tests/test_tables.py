@@ -216,6 +216,24 @@ def test_ragged_row_rejected():
         read_table(buf, "long")
 
 
+@pytest.mark.parametrize("n_provenance", [0, 3])
+@pytest.mark.parametrize("fault,message", [
+    ("cell", "column 'wc_tok': cannot parse 'x'"),
+    ("ragged", "expected"),
+], ids=["cell", "ragged"])
+def test_read_error_names_record_and_file_line(n_provenance, fault, message):
+    buf = io.BytesIO()
+    write_table([SegmentRecord("1", f"{i:02d}", wc_tok=i) for i in range(3)], "long",
+                buf, {f"key{k}": "v" for k in range(n_provenance)})
+    lines = gzip.decompress(buf.getvalue()).decode().split("\n")
+    bad = n_provenance + 2  # index of record 1's line: provenance, header, record 0
+    cells = lines[bad].split("\t")
+    cells[SCHEMA["long"].index("wc_tok")] = "x"
+    lines[bad] = "\t".join(cells if fault == "cell" else cells[:2])
+    with pytest.raises(TableError, match=rf"^row 1 \(line {bad + 1}\): {re.escape(message)}"):
+        read_table(io.BytesIO(gzip.compress("\n".join(lines).encode())), "long")
+
+
 def test_wrong_record_type_rejected():
     with pytest.raises(TableError, match="expects"):
         write_table([_random_segment_record(random.Random(0))], "wide", io.BytesIO())
