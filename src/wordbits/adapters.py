@@ -211,51 +211,46 @@ def mock_pieces(text: str, chunk: int = 4) -> list[tuple[str, bool]]:
     return pieces
 
 
-class MockCausalLM:
-    """Deterministic stand-in LM: logprob of a piece depends only on the
-    preceding pieces, so prefix scoring equals the prefix of full scoring."""
+class _MockScorer:
+    """Deterministic stand-in scorer: the logprob of a piece depends only on
+    the preceding pieces (and, for MT, the source), so prefix scoring equals
+    the prefix of full scoring."""
 
-    kind = "causal_lm"
     log_base = "2"
 
     def __init__(self, seed: int = 0, chunk: int = 4):
         self.seed = seed
         self.chunk = chunk
-        self.name = f"mock-lm-{seed}"
+        self.name = f"{self._name}-{seed}"
+
+    def _score(self, context: list, text: str) -> list[SubwordScore]:
+        subs = []
+        for surface, begins in mock_pieces(text, self.chunk):
+            u = _hash_unit(self.seed, tuple(context), surface)
+            lp = -(0.1 + self._spread * u)
+            subs.append(SubwordScore(surface, lp, begins, is_punct_text(surface)))
+            context.append(surface)
+        return subs
+
+
+class MockCausalLM(_MockScorer):
+    kind = "causal_lm"
+    _name = "mock-lm"
+    _spread = 14.9
 
     def score(self, text: str) -> list[SubwordScore]:
-        pieces = mock_pieces(text, self.chunk)
-        subs = []
-        context: list[str] = []
-        for surface, begins in pieces:
-            u = _hash_unit(self.seed, tuple(context), surface)
-            lp = -(0.1 + 14.9 * u)
-            subs.append(SubwordScore(surface, lp, begins, is_punct_text(surface)))
-            context.append(surface)
-        return subs
+        return self._score([], text)
 
 
-class MockMT:
-    """Deterministic stand-in MT scorer; argmax prediction echoes the gold."""
+class MockMT(_MockScorer):
+    """Mock MT scorer; argmax prediction echoes the gold."""
 
     kind = "mt"
-    log_base = "2"
-
-    def __init__(self, seed: int = 0, chunk: int = 4):
-        self.seed = seed
-        self.chunk = chunk
-        self.name = f"mock-mt-{seed}"
+    _name = "mock-mt"
+    _spread = 19.9
 
     def score(self, src: str, tgt: str) -> list[SubwordScore]:
-        pieces = mock_pieces(tgt, self.chunk)
-        subs = []
-        context: list[str] = [src]
-        for surface, begins in pieces:
-            u = _hash_unit(self.seed, tuple(context), surface)
-            lp = -(0.1 + 19.9 * u)
-            subs.append(SubwordScore(surface, lp, begins, is_punct_text(surface)))
-            context.append(surface)
-        return subs
+        return self._score([src], tgt)
 
     def predict_argmax(self, src: str, tgt: str) -> list[PredictedPiece]:
         return [PredictedPiece(s, b) for s, b in mock_pieces(tgt, self.chunk)]

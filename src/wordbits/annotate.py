@@ -133,11 +133,13 @@ class MockParser:
 @dataclass
 class TokenizedSegment:
     word_rows: list = field(default_factory=list)
-    fp_positions: list = field(default_factory=list)  # surface-word indices
+    surface: list = field(default_factory=list)  # row per surface-word ordinal, FPs too
+    scored: list = field(default_factory=list)  # non-FP surface rows, parser order
+    words: list = field(default_factory=list)  # their tokens, which scorers realign to
+    fp_positions: list = field(default_factory=list)  # surface-word ordinals
     sentence_boundaries: list = field(default_factory=list)
     text: str = ""  # detokenized parser input (FPs absent)
-    words: list = field(default_factory=list)  # non-FP surface tokens, parser order
-    spans: dict = field(default_factory=dict)  # surface-word index -> (start, end)
+    spans: dict = field(default_factory=dict)  # surface-word ordinal -> (start, end)
     parsed: bool = True
 
 
@@ -215,10 +217,6 @@ def _map_to_ws_tokens(surfaces, ws_tokens, raw_seg):
     return owners
 
 
-def detokenize(tokens) -> str:
-    return " ".join(tokens)
-
-
 def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
                      adapter) -> TokenizedSegment:
     """Parse one clean segment into WordRow skeletons.
@@ -230,13 +228,11 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
     ws_tokens = clean_text.split()
     fp_set = set(fp_positions or [])
     for p in fp_set:
-        if ws_tokens[p].casefold() not in FP_FORMS:
-            raise ValueError(f"fp position {p} points at {ws_tokens[p]!r}")
+        if not (0 <= p < len(ws_tokens) and ws_tokens[p].casefold() in FP_FORMS):
+            raise ValueError(f"fp position {p} does not point at an FP in "
+                             f"{clean_text[:60]!r}")
     scored_tokens = [t for i, t in enumerate(ws_tokens) if i not in fp_set]
-    text = detokenize(scored_tokens)
-
-    def fp_row(ws_index):
-        return WordRow(word_id=ids, token=ws_tokens[ws_index].casefold(), pos="FP")
+    text = " ".join(scored_tokens)
 
     try:
         if text:
@@ -258,33 +254,25 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
     scored_ws = [i for i in range(len(ws_tokens)) if i not in fp_set]
     owners = [scored_ws[o] for o in owners]
 
-    # interleave FP rows before the first parsed token at or past them
-    merged = []  # (kind, payload)
-    fp_iter = sorted(fp_set)
-    fi = 0
-    for entry, owner in zip(surfaces, owners):
-        while fi < len(fp_iter) and fp_iter[fi] < owner:
-            merged.append(("fp", fp_iter[fi]))
-            fi += 1
-        merged.append(("tok", entry))
-    while fi < len(fp_iter):
-        merged.append(("fp", fp_iter[fi]))
-        fi += 1
-
     seg = TokenizedSegment(text=text, parsed=parsed)
-    ordinal = 0
+    pending_fps = sorted(fp_set, reverse=True)
+
+    def add_fp():
+        ordinal = len(seg.surface)
+        row = WordRow(word_id=ids.with_word(f"{ordinal + 1:03d}"),
+                      token=ws_tokens[pending_fps.pop()].casefold(), pos="FP")
+        seg.fp_positions.append(ordinal)
+        seg.spans[ordinal] = None
+        seg.surface.append(row)
+        seg.word_rows.append(row)
+
     last_sent = None
     cursor = 0
-    for kind, payload in merged:
-        if kind == "fp":
-            row = fp_row(payload)
-            row.word_id = ids.with_word(f"{ordinal + 1:03d}")
-            seg.word_rows.append(row)
-            seg.fp_positions.append(ordinal)
-            seg.spans[ordinal] = None
-            ordinal += 1
-            continue
-        si, tok, expansions = payload
+    for (si, tok, expansions), owner in zip(surfaces, owners):
+        # an FP row goes before the first parsed token at or past it
+        while pending_fps and pending_fps[-1] < owner:
+            add_fp()
+        ordinal = len(seg.surface)
         if si != last_sent:
             seg.sentence_boundaries.append(ordinal)
             last_sent = si
@@ -297,7 +285,6 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
             span = (start, start + len(tok.form))
             cursor = span[1]
         seg.spans[ordinal] = span
-        seg.words.append(tok.form)
         surface = WordRow(
             word_id=ids.with_word(f"{ordinal + 1:03d}"),
             id=None if not parsed else (None if expansions else int(tok.id)),
@@ -312,6 +299,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
             surface.rel = tok.deprel
             surface.deps = tok.deps
             surface.misc = tok.misc
+        seg.surface.append(surface)
         seg.word_rows.append(surface)
         for k, exp in enumerate(expansions, start=1):
             seg.word_rows.append(WordRow(
@@ -319,5 +307,8 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
                 id=int(exp.id), token=exp.form, lemma=exp.lemma, pos=exp.upos,
                 xpos=exp.xpos, feats=exp.feats, head_id=exp.head,
                 rel=exp.deprel, deps=exp.deps, misc=exp.misc))
-        ordinal += 1
+    while pending_fps:
+        add_fp()
+    seg.scored = [row for row in seg.surface if not row.is_fp]
+    seg.words = [row.token for row in seg.scored]
     return seg

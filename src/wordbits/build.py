@@ -12,11 +12,12 @@ import random
 import statistics
 from dataclasses import dataclass, field, replace
 
+from .config import target_ttype
+
 log = logging.getLogger(__name__)
 
 TEST_DOCS_PER_DIRECTION = 170
 MIN_TEST_SEGMENTS = 12
-SCORE_CUTOFFS = {"de-en": 0.3, "en-de": 0.5}
 
 
 @dataclass
@@ -89,18 +90,18 @@ def filter_by_score(docs, cutoff: float):
     return kept
 
 
-def default_overlap_key(doc: DocumentPair):
+def overlap_key(doc: DocumentPair):
     if doc.date is None or doc.speaker_id is None or doc.lpair is None:
         return None
     return (doc.date, doc.speaker_id, doc.lpair)
 
 
-def remove_overlap(written, spoken, matcher=default_overlap_key):
+def remove_overlap(written, spoken):
     """Drop written documents whose speech also appears in the spoken data."""
-    spoken_keys = {k for k in (matcher(d) for d in spoken) if k is not None}
+    spoken_keys = {k for k in (overlap_key(d) for d in spoken) if k is not None}
     kept = []
     for doc in written:
-        key = matcher(doc)
+        key = overlap_key(doc)
         if key is not None and key in spoken_keys:
             continue
         kept.append(doc)
@@ -189,8 +190,8 @@ def describe(docs) -> list:
     groups = {}
     for doc in docs:
         for side in ("src", "tgt"):
-            ttype = doc.src_ttype if side == "src" else (
-                doc.tgt_ttype or ("SI" if doc.mode == "sp" else "TR"))
+            ttype = (doc.src_ttype if side == "src"
+                     else target_ttype(doc.mode, doc.tgt_ttype))
             key = (doc.mode, doc.lpair, side, ttype)
             g = groups.setdefault(key, {
                 "docs": 0, "segs": 0, "words": 0, "empty": 0, "fp": 0,

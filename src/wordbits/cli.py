@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 
 from . import __version__, build, gam, pipeline
 from .config import RunConfig, config_hash, load_config
@@ -20,26 +21,11 @@ from .fp import GROUPING_FIELDS, PREDICTORS, build_fp_dataset, fit_logistic
 from .records import ParallelSegment
 from .tables import read_table, write_table, write_tsv
 
-_CONFIG_FLAGS = {
-    "input": "input",
-    "output_dir": "output_dir",
-    "direction": "lpair",
-    "mode": "mode",
-    "scoring": "scoring",
-    "window": "window",
-    "cap": "cap",
-    "seed": "seed",
-    "workers": "workers",
-    "align_threshold": "align_threshold",
-    **{f"replay_{role}": f"replay_{role}" for role in pipeline.ROLES},
-}
-
-
 def _add_common(p):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--input", help="input path for this stage")
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--direction", choices=("de-en", "en-de"),
+    p.add_argument("--direction", dest="lpair", choices=("de-en", "en-de"),
                    help="language pair, source first")
     p.add_argument("--mode", choices=("sp", "wr"))
     p.add_argument("--scoring", choices=("bounded", "window"))
@@ -64,10 +50,11 @@ def _config_from_args(args) -> RunConfig:
             if role.replace("-", "_") not in pipeline.ROLES:
                 raise ValueError(f"unknown adapter role in replay manifest: {role!r}")
             overrides["replay_" + role.replace("-", "_")] = path
-    for flag, key in _CONFIG_FLAGS.items():
-        value = getattr(args, flag, None)
+    # each common flag's dest is the RunConfig field it sets
+    for f in fields(RunConfig):
+        value = getattr(args, f.name, None)
         if value is not None:
-            overrides[key] = value
+            overrides[f.name] = value
     return load_config(args.config, os.environ, overrides)
 
 

@@ -10,6 +10,8 @@ import hashlib
 import os
 from dataclasses import dataclass, fields
 
+from .surprisal import SUBWORD_CAP, WINDOW
+
 ENV_PREFIX = "WORDBITS_"
 
 
@@ -33,8 +35,8 @@ class RunConfig:
     score_cutoff_deen: float = 0.3
     score_cutoff_ende: float = 0.5
     scoring: str = "bounded"  # bounded | window
-    window: int = 64
-    cap: int = 150
+    window: int = WINDOW
+    cap: int = SUBWORD_CAP
     seed: int = 1
     workers: int = 0  # 0 = number of processors
     doc_pad: int = 3
@@ -49,9 +51,13 @@ class RunConfig:
         return self.lpair.split("-")[1].upper()
 
     def target_ttype(self) -> str:
-        if self.tgt_ttype:
-            return self.tgt_ttype
-        return "SI" if self.mode == "sp" else "TR"
+        return target_ttype(self.mode, self.tgt_ttype)
+
+
+def target_ttype(mode: str, tgt_ttype: str) -> str:
+    """The target side's text type: tgt_ttype when set, else interpreted
+    speech (SI) for spoken mode and translation (TR) for written mode."""
+    return tgt_ttype or ("SI" if mode == "sp" else "TR")
 
 
 _FIELDS = [f.name for f in fields(RunConfig)]

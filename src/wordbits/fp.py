@@ -101,17 +101,12 @@ def build_fp_dataset(tgt_rows, src_rows, direction: str,
     src_seg_means = {k: float(np.mean(v)) for k, v in src_seg_means.items()}
 
     segments = {}
-    order = []
     for r in tgt_rows:
-        key = (r.doc_id, r.seg_id)
-        if key not in segments:
-            segments[key] = []
-            order.append(key)
-        segments[key].append(r)
+        segments.setdefault((r.doc_id, r.seg_id), []).append(r)
 
     raw = []
-    for key in order:
-        rows = [r for r in segments[key] if not r.is_expansion]
+    for key, seg_rows in segments.items():
+        rows = [r for r in seg_rows if not r.is_expansion]
         lm_vals = [getattr(r, lm_col) for r in rows
                    if not r.is_fp and getattr(r, lm_col) is not None]
         mt_vals = [getattr(r, mt_col) for r in rows

@@ -14,20 +14,11 @@ from dataclasses import dataclass, replace
 MODES = ("SP", "WR")
 
 # Text types whose mode is implied; these render without an explicit mode.
-# The inventory is configuration, not hardcoded policy: extend via register_ttype.
 IMPLIED_MODE = {"SI": "SP", "TR": "WR"}
 
 _TTYPE_RE = re.compile(r"[A-Z][A-Z0-9]*")
 _LANG_RE = re.compile(r"[A-Z]{2}")
 _TAIL_RE = re.compile(r"(\d+)-(\d+)(?::(\d+))?(?::(\d+))?")
-
-
-def register_ttype(code: str, implied_mode: str | None = None) -> None:
-    """Register a text-type code, optionally with an implied mode."""
-    if implied_mode is not None:
-        if implied_mode not in MODES:
-            raise ValueError(f"unknown mode {implied_mode!r}")
-        IMPLIED_MODE[code] = implied_mode
 
 
 class ItemIdError(ValueError):

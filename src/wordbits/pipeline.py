@@ -192,13 +192,6 @@ def _word_map_from_spans(spans, emb):
     return mapping
 
 
-def _apply_surprisal(rows_by_ordinal, scoring_ordinals, scored, column):
-    for ws, ordinal in zip(scored, scoring_ordinals):
-        if ws.bits is None:
-            continue
-        setattr(rows_by_ordinal[ordinal], column, ws.bits)
-
-
 def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
     """Annotate one document's segments; returns (word_rows, sidecar)."""
     rows_out = []
@@ -228,20 +221,6 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
 
         src_seg, tgt_seg = sides["src"], sides["tgt"]
         src_text = src_seg.text
-        # surface-word ordinal -> row, and scoring order -> ordinal
-        maps = {}
-        for side, parsed in sides.items():
-            ordinals = {}
-            scoring = []
-            k = 0
-            for row in parsed.word_rows:
-                if row.is_expansion:
-                    continue
-                ordinals[k] = row
-                if not row.is_fp:
-                    scoring.append(k)
-                k += 1
-            maps[side] = (ordinals, scoring)
 
         # extra keys of the src, tgt and pair sidecar records
         extra = {"src": {}, "tgt": {}, "pair": {}}
@@ -252,7 +231,6 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
             parsed = sides[spec.side]
             mean = None
             if adapter:
-                ordinals, scoring = maps[spec.side]
                 if spec.kind == "mt":
                     scored = surprisal.score_mt(src_text, parsed, adapter)
                     # no source, no translation to score: the mean stays
@@ -263,7 +241,9 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
                 else:
                     scored = _score_words(parsed, adapter, cfg)
                     bits = surprisal.subword_bits(parsed, adapter.score, cfg.cap)
-                _apply_surprisal(ordinals, scoring, scored, spec.column)
+                for ws, row in zip(scored, parsed.scored):
+                    if ws.bits is not None:
+                        setattr(row, spec.column, ws.bits)
                 mean = sum(bits) / len(bits) if bits else None
             if spec.kind == "mt":
                 extra["pair"][spec.key] = mean
@@ -273,8 +253,7 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
                 extra[spec.side][spec.key] = mean
 
         if adapters.encoder and src_seg.words and tgt_seg.words:
-            _align_segment(src_seg, tgt_seg, maps["src"][0], maps["tgt"][0],
-                           adapters.encoder, cfg)
+            _align_segment(src_seg, tgt_seg, adapters.encoder, cfg)
 
         for side in ("src", "tgt"):
             rows_out.extend(sides[side].word_rows)
@@ -301,7 +280,7 @@ def _pseudo_bleu(src_text, tgt_text, adapter):
         return None
 
 
-def _align_segment(src_seg, tgt_seg, src_rows, tgt_rows, encoder, cfg: RunConfig):
+def _align_segment(src_seg, tgt_seg, encoder, cfg: RunConfig):
     """Fill aligned_word(_id) on both sides from mutual-softmax subword links.
     An encoder failure leaves the segment's alignments null."""
     try:
@@ -318,8 +297,8 @@ def _align_segment(src_seg, tgt_seg, src_rows, tgt_rows, encoder, cfg: RunConfig
         pairs,
         _word_map_from_spans(src_seg.spans, src_emb),
         _word_map_from_spans(tgt_seg.spans, tgt_emb),
-        cfg.align_threshold,
-        n_src_words=len(src_rows))
+        cfg.align_threshold)
+    src_rows, tgt_rows = src_seg.surface, tgt_seg.surface
     reverse = {}
     for link in links:
         srow = src_rows[link.src_word_index]
@@ -334,8 +313,8 @@ def _align_segment(src_seg, tgt_seg, src_rows, tgt_rows, encoder, cfg: RunConfig
         trow.aligned_word_id = [str(src_rows[s].word_id) for s in sorted(sources)]
     # the ", "-joined TSV list cannot carry surfaces that themselves
     # contain a comma; null those alignments rather than corrupt rows
-    for rows_map in (src_rows, tgt_rows):
-        for row in rows_map.values():
+    for rows in (src_rows, tgt_rows):
+        for row in rows:
             if row.aligned_word and any("," in t for t in row.aligned_word):
                 log.warning("comma inside aligned surface, alignment "
                             "nulled for %s", row.word_id.render())
@@ -373,11 +352,11 @@ def _mean_or_none(values):
     return sum(vals) / len(vals) if vals else None
 
 
-def aggregate_rows(word_rows, sidecar=None, cfg: RunConfig = None):
+def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
     """Vertical rows (+ optional sidecar) -> (long records, wide records).
 
     Subword-level averages and BLEU live only in the sidecar; without it
-    those columns stay null.
+    (sidecar None) those columns stay null.
     """
     side_info = {}
     pair_info = {}
@@ -389,24 +368,16 @@ def aggregate_rows(word_rows, sidecar=None, cfg: RunConfig = None):
             side_info[key + (rec["side"],)] = rec
 
     groups = {}
-    order = []
     for row in word_rows:
         key = (row.doc_id, row.seg_id, row.lang, row.ttype)
-        if key not in groups:
-            groups[key] = []
-            order.append(key)
-        groups[key].append(row)
+        groups.setdefault(key, []).append(row)
 
     longs = []
     wides = {}
-    wide_order = []
-    for key in order:
-        doc_id, seg_id, lang, ttype = key
-        rows = groups[key]
+    for (doc_id, seg_id, lang, ttype), rows in groups.items():
         surface = [r for r in rows if not r.is_expansion]
         word = [r for r in surface if not r.is_fp]
-        is_src = ttype == (cfg.src_ttype if cfg else "ORG")
-        side = "src" if is_src else "tgt"
+        side = "src" if ttype == cfg.src_ttype else "tgt"
         info = side_info.get((str(doc_id), str(seg_id), side), {})
         counts = info.get("counts") or {}
         rec = SegmentRecord(
@@ -431,7 +402,6 @@ def aggregate_rows(word_rows, sidecar=None, cfg: RunConfig = None):
             wides[wkey] = SegmentPairRecord(src_doc_id=doc_id, src_seg_id=seg_id,
                                             tgt_doc_id=doc_id, tgt_seg_id=seg_id,
                                             lpair=rows[0].lpair, mode=rows[0].mode)
-            wide_order.append(wkey)
         wide = wides[wkey]
         if side == "src":
             wide.src_raw_seg = rows[0].raw_seg
@@ -444,4 +414,4 @@ def aggregate_rows(word_rows, sidecar=None, cfg: RunConfig = None):
             wide.ft_mt_avs_subw = pair.get("ft_mt_avs_subw")
             wide.base_bleu = pair.get("base_bleu")
             wide.ft_bleu = pair.get("ft_bleu")
-    return longs, [wides[k] for k in wide_order]
+    return longs, list(wides.values())

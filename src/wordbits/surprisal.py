@@ -211,19 +211,27 @@ def _all_failed(words, note=None):
     return [WordSurprisal(i, None, 0, "failed", note) for i in range(len(words))]
 
 
-def score_segment_bounded(seg, adapter, cap: int = SUBWORD_CAP):
-    """Score seg.text left-to-right and realign to seg.words.
-
-    Only the cap leftmost subwords are kept; words beyond them fail.  An
-    adapter error nulls the whole segment but never drops it.
-    """
+def _realigned(seg, adapter, score):
+    """Realign the subword scores score() returns to seg.words.  An adapter
+    error, or window drift (score() returns None), nulls the whole segment
+    but never drops it."""
     try:
-        subs = adapter.score(seg.text)
+        subs = score()
     except Exception as exc:
         log.warning("adapter %s failed, segment retained with null bits: %s",
                     getattr(adapter, "name", adapter), exc)
         return _all_failed(seg.words, note="adapter_error")
-    return realign_cascade(build_units(subs[:cap]), seg.words)
+    if subs is None:
+        return _all_failed(seg.words, note="window_drift")
+    return realign_cascade(build_units(subs), seg.words)
+
+
+def score_segment_bounded(seg, adapter, cap: int = SUBWORD_CAP):
+    """Score seg.text left-to-right and realign to seg.words.
+
+    Only the cap leftmost subwords are kept; words beyond them fail.
+    """
+    return _realigned(seg, adapter, lambda: adapter.score(seg.text)[:cap])
 
 
 def _piece_spans(pieces):
@@ -242,6 +250,29 @@ def _piece_spans(pieces):
     return "".join(parts), starts, ends
 
 
+def _window_scores(seg, adapter, window):
+    """The rescored subwords of seg.text, or None on retokenization drift."""
+    subs = adapter.score(seg.text)
+    text, starts, ends = _piece_spans(subs)
+    rescored = list(subs)
+    for i in range(window, len(subs)):
+        # equals detokenize_pieces(subs[i - window + 1:i + 1]): a slice's
+        # first piece takes no leading space
+        got = adapter.score(text[starts[i - window + 1]:ends[i]])
+        if not got:
+            raise ValueError("adapter returned no subwords for window slice")
+        if got[-1].surface != subs[i].surface:
+            log.warning("adapter %s window slice ends in %r, not %r; "
+                        "segment retained with null bits",
+                        getattr(adapter, "name", adapter),
+                        got[-1].surface, subs[i].surface)
+            return None
+        sw = subs[i]
+        rescored[i] = SubwordScore(sw.surface, got[-1].logprob2,
+                                   sw.begins_word, sw.is_punct_unit)
+    return rescored
+
+
 def score_sliding_window(seg, adapter, window: int = WINDOW):
     """Sliding-window scoring, stride 1, no truncation cap.
 
@@ -253,30 +284,7 @@ def score_sliding_window(seg, adapter, window: int = WINDOW):
     drift) nulls the segment with note "window_drift", as an adapter error
     does with "adapter_error".
     """
-    try:
-        subs = adapter.score(seg.text)
-        text, starts, ends = _piece_spans(subs)
-        rescored = list(subs)
-        for i in range(window, len(subs)):
-            # equals detokenize_pieces(subs[i - window + 1:i + 1]): a slice's
-            # first piece takes no leading space
-            got = adapter.score(text[starts[i - window + 1]:ends[i]])
-            if not got:
-                raise ValueError("adapter returned no subwords for window slice")
-            if got[-1].surface != subs[i].surface:
-                log.warning("adapter %s window slice ends in %r, not %r; "
-                            "segment retained with null bits",
-                            getattr(adapter, "name", adapter),
-                            got[-1].surface, subs[i].surface)
-                return _all_failed(seg.words, note="window_drift")
-            sw = subs[i]
-            rescored[i] = SubwordScore(sw.surface, got[-1].logprob2,
-                                       sw.begins_word, sw.is_punct_unit)
-    except Exception as exc:
-        log.warning("adapter %s failed, segment retained with null bits: %s",
-                    getattr(adapter, "name", adapter), exc)
-        return _all_failed(seg.words, note="adapter_error")
-    return realign_cascade(build_units(rescored), seg.words)
+    return _realigned(seg, adapter, lambda: _window_scores(seg, adapter, window))
 
 
 def score_mt(src_text: str, seg, adapter):
@@ -285,13 +293,7 @@ def score_mt(src_text: str, seg, adapter):
         return _all_failed(seg.words, note="empty_source")
     if not seg.text or not seg.text.strip():
         return _all_failed(seg.words, note="empty_target")
-    try:
-        subs = adapter.score(src_text, seg.text)
-    except Exception as exc:
-        log.warning("adapter %s failed, segment retained with null bits: %s",
-                    getattr(adapter, "name", adapter), exc)
-        return _all_failed(seg.words, note="adapter_error")
-    return realign_cascade(build_units(subs), seg.words)
+    return _realigned(seg, adapter, lambda: adapter.score(src_text, seg.text))
 
 
 def subword_bits(seg, score, cap: int = SUBWORD_CAP):

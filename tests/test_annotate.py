@@ -102,8 +102,39 @@ def test_example_spans(parsed_example):
 
 
 def test_fp_position_must_point_at_fp():
-    with pytest.raises(ValueError, match="fp position"):
-        annotate_segment("hello there", [0], "EN", SEG_IDS, MockParser())
+    # -1 would index the FP from the end; 3 lies past it
+    for clean, positions in (("hello there", [0]), ("we go euh", [-1]),
+                             ("we go euh", [3])):
+        with pytest.raises(ValueError, match="fp position"):
+            annotate_segment(clean, positions, "EN", SEG_IDS, MockParser())
+
+
+class _BrokenParser:
+    name = "boom"
+
+    def annotate(self, text, lang):
+        raise AdapterError("no luck")
+
+
+@pytest.mark.parametrize("parser", [MockParser(), _BrokenParser()],
+                         ids=["parsed", "fallback"])
+def test_scored_rows_are_the_words_scorers_realign_to(parser):
+    # FPs at the start, in the middle and at the end; "it's" expands
+    clean = "euh it's all euh hm very fine. But hum"
+    seg = annotate_segment(clean, [0, 3, 4, 8], "EN", SEG_IDS, parser)
+    assert seg.parsed is isinstance(parser, MockParser)
+    # the parse expands "it's" into two rows; the fallback keeps tokens only
+    assert len(seg.word_rows) - len(seg.surface) == (2 if seg.parsed else 0)
+    assert [r.token for r in seg.scored] == seg.words
+    assert seg.scored == [r for r in seg.surface if not r.is_fp]
+    assert seg.surface == [r for r in seg.word_rows if not r.is_expansion]
+    assert [r.token for r in seg.surface if r.is_fp] == ["euh", "euh", "hm", "hum"]
+    for k, row in enumerate(seg.surface):
+        assert row.word_id.word_id == f"{k + 1:03d}"
+        span = seg.spans[k]
+        assert (span is None) == row.is_fp
+        if span is not None:
+            assert seg.text[span[0]:span[1]] == row.token
 
 
 def test_fp_only_segment():

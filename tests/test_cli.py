@@ -7,6 +7,7 @@ import random
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,8 @@ from conftest import (
 import wordbits
 from wordbits import pipeline
 from wordbits.adapters import write_replay
-from wordbits.cli import main
+from wordbits.cli import _config_from_args, build_parser, main
+from wordbits.config import RunConfig
 from wordbits.fp import PREDICTORS
 from wordbits.ids import ItemId
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
@@ -187,6 +189,26 @@ def test_unknown_subcommand_exits_nonzero(capsys):
         main(["frobnicate"])
     assert exc.value.code == 2
     assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, key, value", [
+    (["--direction", "en-de"], "lpair", "en-de"),
+    (["--cap", "7"], "cap", 7),
+    (["--window", "9"], "window", 9),
+    (["--align-threshold", "0.2"], "align_threshold", 0.2),
+    (["--seed", "11"], "seed", 11),
+    (["--workers", "3"], "workers", 3),
+    (["--scoring", "window"], "scoring", "window"),
+    (["--mode", "wr"], "mode", "wr"),
+    (["--input", "in.tsv"], "input", "in.tsv"),
+    (["--output-dir", "elsewhere"], "output_dir", "elsewhere"),
+] + [([f"--replay-{role.replace('_', '-')}", f"{role}.jsonl"], f"replay_{role}",
+      f"{role}.jsonl") for role in pipeline.ROLES])
+def test_common_flag_sets_its_config_key(flags, key, value, monkeypatch):
+    for var in [v for v in os.environ if v.startswith("WORDBITS_")]:
+        monkeypatch.delenv(var)
+    cfg = _config_from_args(build_parser().parse_args(["annotate"] + flags))
+    assert cfg == replace(RunConfig(), **{key: value})
 
 
 def test_errors_become_json_on_stderr(tmp_path, capsys):

@@ -1,6 +1,6 @@
 import pytest
 
-from wordbits.ids import ItemId, ItemIdError, parse_item_id, register_ttype
+from wordbits.ids import ItemId, ItemIdError, parse_item_id
 
 
 def test_render_full_id():
@@ -65,10 +65,3 @@ def test_with_word():
     w = seg.with_word("007")
     assert w.word_id == "007"
 
-
-def test_register_ttype_with_implied_mode():
-    register_ttype("QA", "WR")
-    iid = parse_item_id("QA_DE_EN_001-01")
-    assert iid.mode == "WR" and iid.explicit_mode is False
-    with pytest.raises(ValueError):
-        register_ttype("ZZ", "XX")

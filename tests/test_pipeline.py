@@ -135,7 +135,7 @@ def test_aggregate_rows_token_mean_skips_null_word_bits():
     assert longs[0].base_gpt_avs_subw == 2.0
     assert longs[0].wc_tok == 3
 
-    longs, _wides = pipeline.aggregate_rows([_row(1, None)])
+    longs, _wides = pipeline.aggregate_rows([_row(1, None)], None, RunConfig())
     assert longs[0].base_gpt_avs is None
     assert longs[0].base_gpt_avs_subw is None
 
