@@ -48,14 +48,14 @@ def subword_align(src_emb, tgt_emb, threshold: float = 0.01):
     return pairs
 
 
-def aggregate_to_words(pairs, src_map, tgt_map, threshold: float = 0.01,
-                       n_src_words=None):
+def aggregate_to_words(pairs, src_map, tgt_map, threshold: float = 0.01):
     """Average kept subword pairs up to (source word, target word) links.
 
     src_map/tgt_map are dicts from a subword index to its word index;
     subwords without a word (FPs, expansions) map to None and are skipped.
     A word-level link is kept when its mean pair score clears the threshold.
-    Returns (links, unaligned source word indices).
+    Returns (links, source word indices with a mapped subword pair but no
+    link).
     """
     sums = {}
     counts = {}
@@ -76,13 +76,7 @@ def aggregate_to_words(pairs, src_map, tgt_map, threshold: float = 0.01,
             by_src.setdefault(ws, []).append(wt)
 
     links = [AlignmentLink(ws, sorted(by_src[ws])) for ws in sorted(by_src)]
-
-    if n_src_words is None:
-        universe = seen_src
-    else:
-        universe = set(range(n_src_words))
-    unaligned = sorted(universe - set(by_src))
-    return links, unaligned
+    return links, sorted(seen_src - set(by_src))
 
 
 def alignment_stats(rows):

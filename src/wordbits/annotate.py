@@ -46,9 +46,7 @@ class ConlluToken:
         return int(a), int(b)
 
 
-def _to_token(rec) -> ConlluToken:
-    if isinstance(rec, ConlluToken):
-        return rec
+def _to_token(rec: dict) -> ConlluToken:
     kw = {k: rec.get(k) for k in _CONLLU_KEYS if rec.get(k) is not None}
     if "head" in kw:
         kw["head"] = int(kw["head"])
@@ -136,10 +134,10 @@ class TokenizedSegment:
     surface: list = field(default_factory=list)  # row per surface-word ordinal, FPs too
     scored: list = field(default_factory=list)  # non-FP surface rows, parser order
     words: list = field(default_factory=list)  # their tokens, which scorers realign to
-    fp_positions: list = field(default_factory=list)  # surface-word ordinals
     sentence_boundaries: list = field(default_factory=list)
     text: str = ""  # detokenized parser input (FPs absent)
-    spans: dict = field(default_factory=dict)  # surface-word ordinal -> (start, end)
+    # surface-word ordinal -> (start, end) in text, for each word placed there
+    spans: dict = field(default_factory=dict)
     parsed: bool = True
 
 
@@ -261,8 +259,6 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         ordinal = len(seg.surface)
         row = WordRow(word_id=ids.with_word(f"{ordinal + 1:03d}"),
                       token=ws_tokens[pending_fps.pop()].casefold(), pos="FP")
-        seg.fp_positions.append(ordinal)
-        seg.spans[ordinal] = None
         seg.surface.append(row)
         seg.word_rows.append(row)
 
@@ -280,11 +276,9 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
             start = text.index(tok.form, cursor)
         except ValueError:
             log.warning("could not place %r in %r, span dropped", tok.form, text[:60])
-            span = None
         else:
-            span = (start, start + len(tok.form))
-            cursor = span[1]
-        seg.spans[ordinal] = span
+            cursor = start + len(tok.form)
+            seg.spans[ordinal] = (start, cursor)
         surface = WordRow(
             word_id=ids.with_word(f"{ordinal + 1:03d}"),
             id=None if not parsed else (None if expansions else int(tok.id)),

@@ -181,7 +181,7 @@ def _score_words(seg, adapter, cfg: RunConfig):
 
 def _word_map_from_spans(spans, emb):
     """Map encoder subword indexes to surface-word ordinals via char spans."""
-    intervals = sorted((sp[0], sp[1], idx) for idx, sp in spans.items() if sp is not None)
+    intervals = sorted((lo, hi, idx) for idx, (lo, hi) in spans.items())
     starts = [lo for lo, _, _ in intervals]
     mapping = {}
     for k, (_surface, (start, _end), _vec) in enumerate(emb):
@@ -197,15 +197,11 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
     rows_out = []
     sidecar = []
     for seg in doc_segments:
-        doc_id, seg_id = seg["doc_id"], seg["seg_id"]
-        # sidecar records must join against the padded row ids
-        pad_doc = str(doc_id).zfill(cfg.doc_pad)
-        pad_seg = str(seg_id).zfill(cfg.seg_pad)
         sides = {}
         for side, lang, ttype in (("src", cfg.src_lang, cfg.src_ttype),
                                   ("tgt", cfg.tgt_lang, cfg.target_ttype())):
             info = seg["sides"][side]
-            prefix = _seg_prefix(cfg, ttype, doc_id, seg_id)
+            prefix = _seg_prefix(cfg, ttype, seg["doc_id"], seg["seg_id"])
             parsed = annotate_segment(info["clean"], info["fp_positions"],
                                       lang, prefix, adapters.parser)
             for row in parsed.word_rows:
@@ -255,15 +251,15 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
         if adapters.encoder and src_seg.words and tgt_seg.words:
             _align_segment(src_seg, tgt_seg, adapters.encoder, cfg)
 
+        # sidecar records join against the padded ids both sides' rows carry
+        ids = {"doc_id": prefix.doc_id, "seg_id": prefix.seg_id}
         for side in ("src", "tgt"):
             rows_out.extend(sides[side].word_rows)
-            info = seg["sides"][side]
-            sidecar.append({"doc_id": pad_doc, "seg_id": pad_seg, "side": side,
-                            "counts": info["counts"],
+            sidecar.append({**ids, "side": side,
+                            "counts": seg["sides"][side]["counts"],
                             "n_sentences": len(sides[side].sentence_boundaries),
                             **extra[side]})
-        sidecar.append({"doc_id": pad_doc, "seg_id": pad_seg, "side": "pair",
-                        **extra["pair"]})
+        sidecar.append({**ids, "side": "pair", **extra["pair"]})
     return rows_out, sidecar
 
 

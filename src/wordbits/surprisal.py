@@ -10,7 +10,9 @@ realigned to the word rows through a fixed rule cascade:
           -> punctuation split -> multi-unit sum -> failed
 
 Failure is terminal for the segment: from the first unmatched word onward,
-words get null bits and the rule label "failed".
+words get null bits and the rule label "failed".  Units left over once every
+word has matched are not dropped silently: the last word carries the note
+"unconsumed_subwords".
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ WINDOW = 64
 class WordSurprisal:
     word_index: int
     bits: object  # float or None
-    n_subwords: int
     recovery_rule: str
     note: str = None
 
@@ -51,15 +52,6 @@ class WordSurprisal:
 class Unit:
     surface: str
     bits: float
-    n_subwords: int = 1
-
-
-@dataclass
-class ScoringJob:
-    """Minimal scoring input: the raw text the adapter sees and the parser
-    word surfaces the scores must be realigned to."""
-    text: str
-    words: list
 
 
 def build_units(subwords) -> list[Unit]:
@@ -75,10 +67,10 @@ def build_units(subwords) -> list[Unit]:
     for sw in subwords:
         bits = max(0.0, -sw.logprob2)
         if not units or sw.begins_word or sw.is_punct_unit or prev_punct:
-            units.append(Unit(sw.surface, bits, 1))
+            units.append(Unit(sw.surface, bits))
         else:
             u = units[-1]
-            units[-1] = Unit(u.surface + sw.surface, u.bits + bits, u.n_subwords + 1)
+            units[-1] = Unit(u.surface + sw.surface, u.bits + bits)
         prev_punct = sw.is_punct_unit
     return units
 
@@ -136,12 +128,7 @@ def _scan_punct_split(units, ui, words, wi):
 
 
 def realign_cascade(units, words) -> list[WordSurprisal]:
-    """Align pre-aggregated units to parser word surfaces.
-
-    Accepts Unit objects or (surface, bits) pairs.  Words spanned by a split
-    unit share that unit's subword count.
-    """
-    units = [u if isinstance(u, Unit) else Unit(u[0], u[1], *u[2:3]) for u in units]
+    """Align pre-aggregated Units to parser word surfaces."""
     out = []
     ui = 0
     wi = 0
@@ -150,7 +137,7 @@ def realign_cascade(units, words) -> list[WordSurprisal]:
         if ui < len(units):
             u = units[ui]
             if u.surface == w or _norm(u.surface) == _norm(w):
-                out.append(WordSurprisal(wi, u.bits, u.n_subwords, "none"))
+                out.append(WordSurprisal(wi, u.bits, "none"))
                 ui += 1
                 wi += 1
                 continue
@@ -167,54 +154,50 @@ def realign_cascade(units, words) -> list[WordSurprisal]:
                 rule = "float_like"
                 min_units = 1
             if end is not None and end - ui >= min_units:
-                bits = sum(x.bits for x in units[ui:end])
-                nsub = sum(x.n_subwords for x in units[ui:end])
-                out.append(WordSurprisal(wi, bits, nsub, rule))
+                out.append(WordSurprisal(wi, sum(x.bits for x in units[ui:end]), rule))
                 ui = end
                 wi += 1
                 continue
             span = _scan_punct_split(units, ui, words, wi)
             if span is not None:
-                group = words[wi:wi + span]
                 if len(set(u.surface)) == 1 and is_punct_text(u.surface):
                     # a run of one repeated mark has no head token
                     each = u.bits / span
                     for k in range(span):
-                        out.append(WordSurprisal(wi + k, each, u.n_subwords,
-                                                 "punct_sequence"))
+                        out.append(WordSurprisal(wi + k, each, "punct_sequence"))
                 else:
-                    out.append(WordSurprisal(wi, u.bits * 0.75, u.n_subwords,
-                                             "split_75_25"))
+                    out.append(WordSurprisal(wi, u.bits * 0.75, "split_75_25"))
                     tail = u.bits * 0.25 / (span - 1)
                     for k in range(1, span):
-                        out.append(WordSurprisal(wi + k, tail, u.n_subwords,
-                                                 "split_75_25"))
+                        out.append(WordSurprisal(wi + k, tail, "split_75_25"))
                 ui += 1
                 wi += span
                 continue
             end = _scan_join(units, ui, w, _norm)
             if end is not None and end - ui >= 2:
-                bits = sum(x.bits for x in units[ui:end])
-                nsub = sum(x.n_subwords for x in units[ui:end])
-                out.append(WordSurprisal(wi, bits, nsub, "summed"))
+                out.append(WordSurprisal(wi, sum(x.bits for x in units[ui:end]),
+                                         "summed"))
                 ui = end
                 wi += 1
                 continue
         # no rule applies: the remainder of the segment is unrecoverable
         for k in range(wi, len(words)):
-            out.append(WordSurprisal(k, None, 0, "failed"))
+            out.append(WordSurprisal(k, None, "failed"))
         break
+    else:
+        if out and ui < len(units):
+            out[-1].note = "unconsumed_subwords"
     return out
 
 
 def _all_failed(words, note=None):
-    return [WordSurprisal(i, None, 0, "failed", note) for i in range(len(words))]
+    return [WordSurprisal(i, None, "failed", note) for i in range(len(words))]
 
 
 def _realigned(seg, adapter, score):
     """Realign the subword scores score() returns to seg.words.  An adapter
     error, or window drift (score() returns None), nulls the whole segment
-    but never drops it."""
+    but never drops it; units left after the last word are logged."""
     try:
         subs = score()
     except Exception as exc:
@@ -223,7 +206,11 @@ def _realigned(seg, adapter, score):
         return _all_failed(seg.words, note="adapter_error")
     if subs is None:
         return _all_failed(seg.words, note="window_drift")
-    return realign_cascade(build_units(subs), seg.words)
+    out = realign_cascade(build_units(subs), seg.words)
+    if out and out[-1].note == "unconsumed_subwords":
+        log.warning("adapter %s scored subwords past the last word; "
+                    "their bits are not kept", getattr(adapter, "name", adapter))
+    return out
 
 
 def score_segment_bounded(seg, adapter, cap: int = SUBWORD_CAP):

@@ -1,17 +1,18 @@
 """Readers and writers for the gzip TSV corpus formats (vertical, long, wide).
 
-The column orders are frozen in data/columns.txt.  Each format's columns are
-the fields of its record type in records.py, in the same order; a column's
-field is its name lower-cased, with "+" spelled "_plus_".  Cell types come
-from the field annotations (ItemId, int, float, list[str] or str, each
-optionally "| None"), read once per format when this module is imported, and
-a manifest that disagrees with its record type fails the import.
+Each format's columns are the fields of its record type in records.py
+(WordRow, SegmentRecord, SegmentPairRecord), in field order.  A column is
+named after its field, except the nine in _COLUMN_NAMES (the *_AvS* means and
+fillers+3).  Cell types come from the field annotations (ItemId, int, float,
+list[str] or str, each optionally "| None"), read once per format when this
+module is imported.
 
 Cells are UTF-8, tab separated, no quoting; "NA" is the sole null marker (an
 empty cell is the empty string, not null).  List cells are ", "-joined,
 except the space-joined tokens column.  Writers emit optional "#"-prefixed
-provenance lines before the header; readers skip them.  Gzip members are
-written with mtime=0 so identical content yields identical bytes.
+provenance lines before the header; readers skip them, match columns by name
+and keep unknown columns as strings.  Gzip members are written with mtime=0
+so identical content yields identical bytes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import gzip
 import io
 from dataclasses import fields
-from importlib import resources
 from operator import attrgetter
 from types import UnionType
 from typing import Iterable, Union, get_args, get_origin, get_type_hints
@@ -29,30 +29,22 @@ from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
 
 FORMATS = ("vertical", "long", "wide")
 
+# record field -> column, for the columns not named after their field
+_COLUMN_NAMES = {
+    "base_gpt_avs": "base_gpt_AvS",
+    "base_gpt_avs_subw": "base_gpt_AvS_subw",
+    "ft_gpt_avs": "ft_gpt_AvS",
+    "ft_gpt_avs_subw": "ft_gpt_AvS_subw",
+    "fillers_plus_3": "fillers+3",
+    "base_mt_avs": "base_mt_AvS",
+    "base_mt_avs_subw": "base_mt_AvS_subw",
+    "ft_mt_avs": "ft_mt_AvS",
+    "ft_mt_avs_subw": "ft_mt_AvS_subw",
+}
+
 
 class TableError(ValueError):
     pass
-
-
-def load_schema() -> dict[str, list[str]]:
-    """Parse the shipped column manifest into {format: [column, ...]}."""
-    schema: dict[str, list[str]] = {}
-    current: list[str] | None = None
-    text = resources.files("wordbits").joinpath("data/columns.txt").read_text("utf-8")
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            current = schema.setdefault(line[1:-1], [])
-            continue
-        if current is None:
-            raise TableError(f"column outside format section: {line!r}")
-        current.append(line)
-    for fmt in FORMATS:
-        if fmt not in schema:
-            raise TableError(f"schema manifest is missing format {fmt!r}")
-    return schema
 
 
 def _text(value) -> str:
@@ -89,30 +81,29 @@ _CODECS = {
 _TOKENS = _list_codec(" ", " ", "space inside token")
 
 
-def column_plan(columns: list[str], rec_type) -> list[tuple]:
-    """(column, attribute, serialize, parse) per column of a format whose rows
-    are rec_type; raises TableError unless the columns name rec_type's fields
-    in order and every field has a supported annotation."""
+def column_plan(rec_type) -> list[tuple]:
+    """(column, attribute, serialize, parse) per field of rec_type but extra,
+    in field order; raises TableError for a field whose annotation has no
+    codec."""
     hints = get_type_hints(rec_type)
-    names = [f.name for f in fields(rec_type) if f.name != "extra"]
-    if [c.lower().replace("+", "_plus_") for c in columns] != names:
-        raise TableError(f"manifest columns {columns} are not the fields of "
-                         f"{rec_type.__name__} in order: {names}")
     plan = []
-    for column, name in zip(columns, names):
-        hint = hints[name]
+    for f in fields(rec_type):
+        if f.name == "extra":
+            continue
+        hint = hints[f.name]
         if get_origin(hint) in (Union, UnionType):  # drop "| None"
             hint = Union[tuple(a for a in get_args(hint) if a is not type(None))]
-        codec = _TOKENS if column == "tokens" and hint == list[str] else _CODECS.get(hint)
+        codec = _TOKENS if f.name == "tokens" and hint == list[str] else _CODECS.get(hint)
         if codec is None:
-            raise TableError(f"{rec_type.__name__}.{name}: unsupported annotation {hints[name]!r}")
-        plan.append((column, name, *codec))
+            raise TableError(f"{rec_type.__name__}.{f.name}: unsupported annotation "
+                             f"{hints[f.name]!r}")
+        plan.append((_COLUMN_NAMES.get(f.name, f.name), f.name, *codec))
     return plan
 
 
-SCHEMA = load_schema()
 _RECORD_TYPES = {"vertical": WordRow, "long": SegmentRecord, "wide": SegmentPairRecord}
-PLANS = {fmt: column_plan(SCHEMA[fmt], rec_type) for fmt, rec_type in _RECORD_TYPES.items()}
+PLANS = {fmt: column_plan(rec_type) for fmt, rec_type in _RECORD_TYPES.items()}
+SCHEMA = {fmt: [column for column, *_ in plan] for fmt, plan in PLANS.items()}
 
 
 def _is_path(sink) -> bool:

@@ -26,22 +26,11 @@ from __future__ import annotations
 
 import logging
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 log = logging.getLogger(__name__)
 
 FP_FORMS = ("euh", "hum", "hm")
-
-EVENT_KINDS = (
-    "FP",
-    "pause",
-    "truncation",
-    "midword_break",
-    "repetition_repair",
-    "phonetic_variant",
-    "contraction_expansion",
-    "unresolved",
-)
 
 # Categories counted by fillers_plus_3 on top of FPs.
 _F3_KINDS = {"FP", "truncation", "midword_break", "repetition_repair"}
@@ -183,7 +172,10 @@ def parse_transcript(raw: str) -> tuple[list[DisfluencyEvent], list[str]]:
             if vm:
                 events.append(DisfluencyEvent(
                     "phonetic_variant", span, resolution=vm.group(1) + vm.group(2)))
-                if trail and pending:
+                if trail and pending and pending[-1].is_fp:
+                    # "euh." is no FP form: the trail stands alone
+                    pending.append(_Entry(trail, span=span))
+                elif trail and pending:
                     pending[-1].surface += trail
                 continue
             log.warning("unrecognized bracket %r at offset %d", text, start)

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import SRC_TEXT, TGT_CLEAN, TGT_FP_POSITIONS
+from test_surprisal import Seg, _units
 from test_tables import _random_pair_record, _random_segment_record, _random_word_row
 from test_transcripts import GOLDEN_CLEAN, GOLDEN_RAW
 
@@ -25,7 +26,6 @@ from wordbits.build import DocumentPair
 from wordbits.ids import ItemId
 from wordbits.records import ParallelSegment
 from wordbits.surprisal import (
-    ScoringJob,
     build_units,
     pseudo_bleu,
     realign_cascade,
@@ -79,20 +79,20 @@ def test_surprisal_conservation_randomized():
     assert time.monotonic() - t0 < 10.0
 
     # the 0.75/0.25 partition is exact, not approximate
-    head, close, stop = realign_cascade([("ok).", 8.0)], ["ok", ")", "."])
+    head, close, stop = realign_cascade(_units(("ok).", 8.0)), ["ok", ")", "."])
     assert head.bits == 6.0
     assert close.bits == 1.0 and stop.bits == 1.0
 
 
 def test_realignment_cascade_mismatch_examples():
     """The two documented tokenizer-vs-word mismatches get the right rules."""
-    out = realign_cascade([("Ã¼ber", 4.0), ("99", 1.0), ("%.", 8.0)],
+    out = realign_cascade(_units(("Ã¼ber", 4.0), ("99", 1.0), ("%.", 8.0)),
                           ["über", "99", "%", "."])
     assert [w.recovery_rule for w in out] == \
         ["none", "none", "split_75_25", "split_75_25"]
     assert [w.bits for w in out] == [4.0, 1.0, 6.0, 2.0]
 
-    out = realign_cascade([("p.m", 4.0), (".", 2.0)], ["p.m."])
+    out = realign_cascade(_units(("p.m", 4.0), (".", 2.0)), ["p.m."])
     assert [w.recovery_rule for w in out] == ["abbreviation"]
     assert out[0].bits == 6.0
 
@@ -105,7 +105,7 @@ def test_bounded_and_window_scoring_agree_below_window():
              "heute", "leider", "."]
     for _ in range(40):
         words = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
-        job = ScoringJob(" ".join(words), words)
+        job = Seg(" ".join(words), words)
         assert len(lm.score(job.text)) <= 64
         a = score_segment_bounded(job, lm)
         b = score_sliding_window(job, lm)
@@ -125,8 +125,7 @@ def _brute_force_mutual_softmax(S):
 
 
 def _span_word_map(spans, emb):
-    intervals = sorted((sp[0], sp[1], idx) for idx, sp in spans.items()
-                       if sp is not None)
+    intervals = sorted((lo, hi, idx) for idx, (lo, hi) in spans.items())
     mapping = {}
     for k, (_surface, (start, _end), _vec) in enumerate(emb):
         mapping[k] = next((idx for lo, hi, idx in intervals
@@ -162,8 +161,7 @@ def test_alignment_oracle(replay_files):
                                 [e[2] for e in tgt_emb], 0.01)
     links, _ = align.aggregate_to_words(
         pairs, _span_word_map(src.spans, src_emb),
-        _span_word_map(tgt.spans, tgt_emb), 0.01,
-        n_src_words=len([r for r in src.word_rows if not r.is_expansion]))
+        _span_word_map(tgt.spans, tgt_emb), 0.01)
 
     src_tokens = [r.token for r in src.word_rows if not r.is_expansion]
     tgt_tokens = [r.token for r in tgt.word_rows if not r.is_expansion]

@@ -79,15 +79,14 @@ def test_aggregate_means_and_threshold():
     pairs = {(0, 0, 0.8), (1, 0, 0.6), (1, 1, 0.2), (2, 2, 0.008)}
     src_map = {0: 0, 1: 0, 2: 1}
     tgt_map = {0: 0, 1: 0, 2: 1}
-    links, unaligned = aggregate_to_words(pairs, src_map, tgt_map,
-                                          n_src_words=3)
+    links, unaligned = aggregate_to_words(pairs, src_map, tgt_map)
     assert len(links) == 1
     link = links[0]
     # three subword pairs land in (0, 0); their mean is (0.8+0.6+0.2)/3
     assert link.src_word_index == 0
     assert link.tgt_word_indices == [0]
-    # word 1's only pair mean 0.008 <= 0.01, word 2 never appears
-    assert unaligned == [1, 2]
+    # word 1's only pair mean 0.008 <= 0.01
+    assert unaligned == [1]
 
 
 def test_aggregate_one_to_many_sorted():
@@ -99,7 +98,7 @@ def test_aggregate_one_to_many_sorted():
 def test_aggregate_skips_unmapped_subwords():
     pairs = {(0, 0, 0.9), (1, 0, 0.9)}
     links, unaligned = aggregate_to_words(
-        pairs, {0: None, 1: 0}, {0: 0}, n_src_words=1)
+        pairs, {0: None, 1: 0}, {0: 0})
     assert [l.src_word_index for l in links] == [0]
     assert unaligned == []
 

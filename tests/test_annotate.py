@@ -30,7 +30,7 @@ def test_example_text_and_words(parsed_example):
     assert seg.text == TGT_TEXT
     assert seg.words == ["It's", "all", "very", "well-intended", ".",
                          "But", "there's"]
-    assert seg.fp_positions == [2, 3, 4]
+    assert [k for k, row in enumerate(seg.surface) if row.is_fp] == [2, 3, 4]
     assert seg.sentence_boundaries == [0, 8]
 
 
@@ -93,7 +93,7 @@ def test_example_spans(parsed_example):
     spans = parsed_example.spans
     assert spans[0] == (0, 4)      # It's
     assert spans[1] == (5, 8)      # all
-    assert spans[2] is None        # FP rows carry no span
+    assert 2 not in spans          # FP rows carry no span
     assert spans[5] == (9, 13)     # very
     assert spans[6] == (14, 27)    # well-intended
     assert spans[7] == (27, 28)    # .
@@ -131,7 +131,7 @@ def test_scored_rows_are_the_words_scorers_realign_to(parser):
     assert [r.token for r in seg.surface if r.is_fp] == ["euh", "euh", "hm", "hum"]
     for k, row in enumerate(seg.surface):
         assert row.word_id.word_id == f"{k + 1:03d}"
-        span = seg.spans[k]
+        span = seg.spans.get(k)
         assert (span is None) == row.is_fp
         if span is not None:
             assert seg.text[span[0]:span[1]] == row.token

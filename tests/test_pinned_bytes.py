@@ -1,14 +1,16 @@
-"""Pinned output bytes of normalize -> annotate --mock -> aggregate --sidecar.
+"""Pinned output bytes of normalize -> annotate -> aggregate --sidecar.
 
 A seeded corpus with transcript notation, filled pauses, contractions and an
-empty side runs through the command line in three modes.  The sha256 of each
-output body (everything below the provenance lines, which carry the config
-hash and so the run's paths) is pinned: a change that alters any table or
-sidecar byte fails here.
+empty side runs through the command line with mock adapters in three modes,
+and the worked example of conftest.py runs through the replay adapters.  The
+sha256 of each output body (everything below the provenance lines, which
+carry the config hash and so the run's paths) is pinned: a change that
+alters any table or sidecar byte fails here.
 """
 
 import gzip
 import hashlib
+import json
 import random
 
 import pytest
@@ -132,3 +134,35 @@ def test_outputs_match_pinned_bytes(mode, tmp_path):
                  "--sidecar", str(out / "sidecar.jsonl.gz")] + common) == 0
     got = {name: _body_sha(out / name) for name in _OUTPUTS}
     assert got == _PINNED[mode]
+
+
+# The worked example through a --replay manifest: the mock cases above never
+# reach ReplayParser or the replay scorers and encoder.
+_PINNED_REPLAY = {
+    "clean.jsonl.gz":
+        "bb54a34aabafecf1bcb3bd6af0f5bfd143bc42c27becbdb4f1d871bb9dcbb280",
+    "vertical.tsv.gz":
+        "b11061c0357c97f7c309bc45c132d6c9396b833ceaa8c7baec0619eff80ff255",
+    "sidecar.jsonl.gz":
+        "269281b58e6f2e7094c5c8dd4cab268c9025b7fc4c496341104d3053013f6434",
+    "long.tsv.gz":
+        "d83f6765f5e3f0e916c55afeec88b5a5ad81344768d665227dbbbfb7d55c9e3d",
+    "wide.tsv.gz":
+        "0bdf63151affa082641237e0f5a29ba4acdec349b117096e2a36f76678cc4192",
+}
+
+
+def test_replay_outputs_match_pinned_bytes(replay_files, example_input_tsv, tmp_path):
+    out = tmp_path / "out"
+    manifest = tmp_path / "replay.json"
+    manifest.write_text(json.dumps({role.replace("_", "-"): path
+                                    for role, path in replay_files.items()}),
+                        encoding="utf-8")
+    common = ["--output-dir", str(out), "--mode", "sp", "--direction", "de-en"]
+    assert main(["normalize", "--input", example_input_tsv] + common) == 0
+    assert main(["annotate", "--input", str(out / "clean.jsonl.gz"),
+                 "--replay", str(manifest)] + common) == 0
+    assert main(["aggregate", "--input", str(out / "vertical.tsv.gz"),
+                 "--sidecar", str(out / "sidecar.jsonl.gz")] + common) == 0
+    got = {name: _body_sha(out / name) for name in _OUTPUTS}
+    assert got == _PINNED_REPLAY

@@ -146,14 +146,13 @@ def test_word_map_from_spans_matches_linear_scan():
         spans, pos = {}, 0
         for idx in range(rng.randint(0, 8)):
             if rng.random() < 0.2:
-                spans[idx] = None  # an FP or an unplaced word
-                continue
+                continue  # an FP or an unplaced word has no span
             pos += rng.randint(0, 2)
             length = rng.randint(0, 5)  # zero-length spans included
             spans[idx] = (pos, pos + length)
             pos += length
         emb = [("x", (start, start + 1), None) for start in range(pos + 3)]
-        want = {k: next((idx for idx, sp in spans.items()
-                         if sp is not None and sp[0] <= start < sp[1]), None)
+        want = {k: next((idx for idx, (lo, hi) in spans.items()
+                         if lo <= start < hi), None)
                 for k, (_, (start, _), _) in enumerate(emb)}
         assert pipeline._word_map_from_spans(spans, emb) == want

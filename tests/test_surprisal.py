@@ -1,5 +1,7 @@
+import logging
 import math
 import random
+from typing import NamedTuple
 
 import pytest
 
@@ -12,7 +14,7 @@ from wordbits.adapters import (
     detokenize_pieces,
 )
 from wordbits.surprisal import (
-    ScoringJob,
+    RECOVERY_RULES,
     Unit,
     WordSurprisal,
     build_units,
@@ -28,6 +30,17 @@ from wordbits.surprisal import (
 from conftest import SRC_TEXT, TGT_TEXT
 
 TGT_WORDS = ["It's", "all", "very", "well-intended", ".", "But", "there's"]
+
+
+class Seg(NamedTuple):
+    """The two fields of a TokenizedSegment that scorers read: the text the
+    adapter sees and the word surfaces its scores are realigned to."""
+    text: str
+    words: list
+
+
+def _units(*pairs):
+    return [Unit(surface, bits) for surface, bits in pairs]
 
 
 class FixedLM:
@@ -49,7 +62,7 @@ def _sw(surface, bits, begins=True, punct=False):
 
 
 def test_single_subword_half_probability_is_one_bit():
-    job = ScoringJob("word", ["word"])
+    job = Seg("word", ["word"])
     out = score_segment_bounded(job, FixedLM([_sw("word", 1.0)]))
     assert out[0].bits == 1.0
     assert out[0].recovery_rule == "none"
@@ -58,9 +71,8 @@ def test_single_subword_half_probability_is_one_bit():
 def test_subword_bits_sum_in_log_space():
     # P = 0.25 and 0.5 -> 2.0 + 1.0 bits on one word
     subs = [_sw("wo", 2.0), _sw("rd", 1.0, begins=False)]
-    out = score_segment_bounded(ScoringJob("word", ["word"]), FixedLM(subs))
+    out = score_segment_bounded(Seg("word", ["word"]), FixedLM(subs))
     assert out[0].bits == pytest.approx(3.0, abs=1e-12)
-    assert out[0].n_subwords == 2
 
 
 def test_build_units_punct_separation():
@@ -70,12 +82,12 @@ def test_build_units_punct_separation():
     # the subword after the punct unit starts fresh even without begins_word,
     # and later continuation pieces glue onto it
     assert [u.surface for u in units] == ["well", "-", "intended"]
-    assert units[2].n_subwords == 2
+    assert [u.bits for u in units] == [1.0, 1.0, 2.0]
 
 
 def test_replayed_example_base_lm(replay_files):
     lm = ReplayCausalLM(replay_files["lm_base"])
-    out = score_segment_bounded(ScoringJob(TGT_TEXT, TGT_WORDS), lm)
+    out = score_segment_bounded(Seg(TGT_TEXT, TGT_WORDS), lm)
     bits = [w.bits for w in out]
     assert bits == pytest.approx([13.0, 5.9, 6.5, 16.7, 3.0, 2.2, 5.6],
                                  abs=1e-9)
@@ -87,7 +99,7 @@ def test_replayed_example_base_lm(replay_files):
 
 def test_replayed_example_mt(replay_files):
     mt = ReplayMT(replay_files["mt_base"])
-    out = score_mt(SRC_TEXT, ScoringJob(TGT_TEXT, TGT_WORDS), mt)
+    out = score_mt(SRC_TEXT, Seg(TGT_TEXT, TGT_WORDS), mt)
     by_word = dict(zip(TGT_WORDS, [w.bits for w in out]))
     assert by_word["very"] == pytest.approx(7.6, abs=1e-9)
     assert by_word["It's"] == pytest.approx(35.3, abs=1e-9)
@@ -95,11 +107,11 @@ def test_replayed_example_mt(replay_files):
 
 def test_mt_empty_sides_null_with_note():
     mt = MockMT()
-    out = score_mt("", ScoringJob("ziel", ["ziel"]), mt)
+    out = score_mt("", Seg("ziel", ["ziel"]), mt)
     assert out[0].bits is None and out[0].note == "empty_source"
-    out = score_mt("quelle", ScoringJob("", []), mt)
+    out = score_mt("quelle", Seg("", []), mt)
     assert out == []
-    out = score_mt("quelle", ScoringJob("  ", ["x"]), mt)
+    out = score_mt("quelle", Seg("  ", ["x"]), mt)
     assert out[0].note == "empty_target"
 
 
@@ -110,7 +122,7 @@ def test_mt_gold_probability_one_scores_zero_bits():
         def score(self, src, tgt):
             return [SubwordScore(w, 0.0, True) for w in tgt.split()]
 
-    out = score_mt("src", ScoringJob("a b", ["a", "b"]), Sure())
+    out = score_mt("src", Seg("a b", ["a", "b"]), Sure())
     assert [w.bits for w in out] == [0.0, 0.0]
 
 
@@ -121,7 +133,7 @@ def test_adapter_failure_keeps_segment_with_nulls():
         def score(self, text):
             raise RuntimeError("offline")
 
-    out = score_segment_bounded(ScoringJob("a b", ["a", "b"]), Boom())
+    out = score_segment_bounded(Seg("a b", ["a", "b"]), Boom())
     assert [w.bits for w in out] == [None, None]
     assert all(w.recovery_rule == "failed" for w in out)
     assert all(w.note == "adapter_error" for w in out)
@@ -130,7 +142,7 @@ def test_adapter_failure_keeps_segment_with_nulls():
 def test_cap_nulls_words_past_150_subwords():
     words = [f"w{i}" for i in range(200)]
     subs = [_sw(w, 1.0) for w in words]
-    out = score_segment_bounded(ScoringJob(" ".join(words), words),
+    out = score_segment_bounded(Seg(" ".join(words), words),
                                 FixedLM(subs))
     assert [w.bits for w in out[:150]] == [1.0] * 150
     assert all(w.bits is None and w.recovery_rule == "failed"
@@ -140,7 +152,7 @@ def test_cap_nulls_words_past_150_subwords():
 # --- realignment cascade -------------------------------------------------
 
 def test_cascade_mojibake_normalization_and_punct_split():
-    units = [("Ã¼ber", 4.0), ("99", 1.0), ("%.", 8.0)]
+    units = _units(("Ã¼ber", 4.0), ("99", 1.0), ("%.", 8.0))
     out = realign_cascade(units, ["über", "99", "%", "."])
     assert [w.recovery_rule for w in out] == \
         ["none", "none", "split_75_25", "split_75_25"]
@@ -148,31 +160,30 @@ def test_cascade_mojibake_normalization_and_punct_split():
 
 
 def test_cascade_abbreviation_join():
-    out = realign_cascade([("p.m", 4.0), (".", 2.0)], ["p.m."])
+    out = realign_cascade(_units(("p.m", 4.0), (".", 2.0)), ["p.m."])
     assert out[0].recovery_rule == "abbreviation"
     assert out[0].bits == 6.0
-    assert out[0].n_subwords == 2
 
 
 def test_cascade_float_like_spaces():
     # "20 000" tokenizes as two units but is one number token
-    out = realign_cascade([("20", 3.0), ("000", 2.0)], ["20 000"])
+    out = realign_cascade(_units(("20", 3.0), ("000", 2.0)), ["20 000"])
     assert out[0].recovery_rule == "float_like"
     assert out[0].bits == 5.0
-    out = realign_cascade([("0,7%-Zielgröße", 7.0)],
+    out = realign_cascade(_units(("0,7%-Zielgröße", 7.0)),
                           ["0,7%-Zielgröße"])
     assert out[0].recovery_rule == "none"
 
 
 def test_cascade_punct_sequence_even_split():
-    out = realign_cascade([("!!", 4.0)], ["!", "!"])
+    out = realign_cascade(_units(("!!", 4.0)), ["!", "!"])
     assert [w.recovery_rule for w in out] == ["punct_sequence"] * 2
     assert [w.bits for w in out] == [2.0, 2.0]
 
 
 def test_cascade_split_runs_conserve_mass():
     # one unit covering a word plus two punctuation words
-    out = realign_cascade([("ok).", 8.0)], ["ok", ")", "."])
+    out = realign_cascade(_units(("ok).", 8.0)), ["ok", ")", "."])
     assert out[0].bits == pytest.approx(6.0)
     assert out[1].bits == pytest.approx(1.0)
     assert out[2].bits == pytest.approx(1.0)
@@ -180,18 +191,80 @@ def test_cascade_split_runs_conserve_mass():
 
 
 def test_cascade_failure_is_terminal():
-    units = [("alpha", 1.0), ("mismatch", 1.0), ("gamma", 1.0)]
+    units = _units(("alpha", 1.0), ("mismatch", 1.0), ("gamma", 1.0))
     out = realign_cascade(units, ["alpha", "beta", "gamma"])
     assert out[0].bits == 1.0
     assert [w.recovery_rule for w in out[1:]] == ["failed", "failed"]
     assert all(w.bits is None for w in out[1:])
 
 
+def test_cascade_notes_units_left_after_last_word(caplog):
+    out = realign_cascade(_units(("a", 1.0), ("b", 2.0), ("c", 3.0)), ["a", "b"])
+    assert [w.recovery_rule for w in out] == ["none", "none"]
+    assert [w.note for w in out] == [None, "unconsumed_subwords"]
+    subs = [_sw("a", 1.0), _sw("b", 2.0), _sw("c", 3.0)]
+    with caplog.at_level(logging.WARNING, logger="wordbits.surprisal"):
+        out = score_segment_bounded(Seg("a b", ["a", "b"]), FixedLM(subs))
+    assert out[-1].note == "unconsumed_subwords"
+    assert [r.getMessage() for r in caplog.records] == [
+        "adapter fixed scored subwords past the last word; their bits are not kept"]
+
+
+_FUZZ_WORDS = (
+    ("z.B.", "e.g.", "p.m.", "U.S.A.", "usw."),  # abbreviations
+    ("20 000", "1 234 567", "3,5", "0.75", "12.5", "99"),  # numbers
+    (".", ",", "!", "?", ")", "...", "!!", "%", "-"),  # punctuation
+    ("über", "Änderung", "façade", "naïve", "Größe"),  # mojibake in units
+    ("die", "Lage", "ist", "well-intended", "it's", "Kommission"),
+)
+
+
+def _fuzz_case(rng):
+    """Random words, and units that re-segment them as a tokenizer might:
+    random cuts, latin-1 mojibake, numbers without their spaces, punctuation
+    glued to the unit before, now and then a stray or trailing unit."""
+    words = [rng.choice(rng.choice(_FUZZ_WORDS)) for _ in range(rng.randint(1, 12))]
+    surfaces = []
+    for w in words:
+        s = w.replace(" ", "")
+        if not s.isascii() and rng.random() < 0.5:
+            s = s.encode("utf-8").decode("latin-1")
+        if surfaces and not any(c.isalnum() for c in s) and rng.random() < 0.4:
+            surfaces[-1] += s
+            continue
+        cuts = sorted(rng.sample(range(1, len(s)), min(len(s) - 1, rng.randint(0, 2))))
+        surfaces.extend(s[a:b] for a, b in zip([0] + cuts, cuts + [len(s)]))
+    if rng.random() < 0.1:
+        surfaces.insert(rng.randrange(len(surfaces) + 1), "#?")
+    if rng.random() < 0.1:
+        surfaces.append(rng.choice(("</s>", ".")))
+    return words, [Unit(s, rng.uniform(0.0, 12.0)) for s in surfaces]
+
+
+def test_cascade_fuzz_conserves_a_prefix_of_units():
+    rng = random.Random(6)
+    seen = set()
+    for _ in range(3000):
+        words, units = _fuzz_case(rng)
+        out = realign_cascade(units, words)
+        seen.update(w.recovery_rule for w in out)
+        assert [w.word_index for w in out] == list(range(len(words)))
+        assert all(w.recovery_rule in RECOVERY_RULES for w in out)
+        kept = [w for w in out if w.recovery_rule != "failed"]
+        assert out[:len(kept)] == kept, "failed words must form a suffix"
+        got = sum(w.bits for w in kept)
+        prefixes = [sum(u.bits for u in units[:k]) for k in range(len(units) + 1)]
+        assert any(abs(got - p) <= 1e-9 for p in prefixes), (words, units)
+        if len(kept) == len(out) and out[-1].note != "unconsumed_subwords":
+            assert got == pytest.approx(prefixes[-1], abs=1e-9), (words, units)
+    assert seen == set(RECOVERY_RULES)
+
+
 def test_word_surprisal_invariant_enforced():
     with pytest.raises(AssertionError):
-        WordSurprisal(0, None, 0, "none")
+        WordSurprisal(0, None, "none")
     with pytest.raises(AssertionError):
-        WordSurprisal(0, 1.0, 1, "failed")
+        WordSurprisal(0, 1.0, "failed")
 
 
 def test_conservation_on_random_mock_segments():
@@ -219,10 +292,10 @@ def test_conservation_on_random_mock_segments():
 def test_bounded_prefix_matches_full_prefix():
     lm = MockCausalLM(seed=4)
     words = "der neue Bericht wurde gestern angenommen".split()
-    full = score_segment_bounded(ScoringJob(" ".join(words), words), lm)
+    full = score_segment_bounded(Seg(" ".join(words), words), lm)
     for k in (1, 3, 5):
         part = words[:k]
-        pre = score_segment_bounded(ScoringJob(" ".join(part), part), lm)
+        pre = score_segment_bounded(Seg(" ".join(part), part), lm)
         assert [w.bits for w in pre] == [w.bits for w in full[:k]]
 
 
@@ -234,7 +307,7 @@ def test_window_equals_bounded_below_window():
     vocab = ["eins", "zwei", "drei", "vier", "kurz", "lang", "gut", "."]
     for _ in range(25):
         words = [rng.choice(vocab) for _ in range(rng.randint(1, 12))]
-        job = ScoringJob(" ".join(words), words)
+        job = Seg(" ".join(words), words)
         assert len(lm.score(job.text)) <= 64
         a = score_segment_bounded(job, lm)
         b = score_sliding_window(job, lm)
@@ -248,7 +321,7 @@ def test_window_rescores_against_explicit_slice():
     words = [chr(ord("a") + i % 26) + str(i) for i in range(70)]
     for w in words:
         assert len(lm.score(w)) == 1 or len(w) <= 4
-    job = ScoringJob(" ".join(words), words)
+    job = Seg(" ".join(words), words)
     out = score_sliding_window(job, lm, window=64)
     plain = lm.score(job.text)
     assert len(plain) == 70
@@ -284,7 +357,7 @@ class SliceLM:
 
 def test_window_drift_nulls_segment_with_note():
     subs = [_sw("a", 1.0), _sw("b", 1.0), _sw("c", 1.0)]
-    job = ScoringJob("a b c", ["a", "b", "c"])
+    job = Seg("a b c", ["a", "b", "c"])
     kept = score_sliding_window(job, SliceLM("a b c", subs, "c"), window=2)
     assert [w.bits for w in kept] == [1.0, 1.0, 9.0]
 
@@ -321,7 +394,7 @@ def test_window_slices_are_detokenized_contexts():
         window = rng.randint(1, len(subs) + 2)
         text = detokenize_pieces(subs)
         lm = RecordingLM(subs, window)
-        score_sliding_window(ScoringJob(text, text.split()), lm, window=window)
+        score_sliding_window(Seg(text, text.split()), lm, window=window)
         assert lm.requests == [text] + [detokenize_pieces(subs[i - window + 1:i + 1])
                                         for i in range(window, len(subs))]
 
@@ -330,7 +403,7 @@ def test_window_slices_are_detokenized_contexts():
 
 def test_subword_bits_capped():
     subs = [_sw(f"w{i}", 1.0) for i in range(10)]
-    vals = subword_bits(ScoringJob("irrelevant", []), FixedLM(subs).score, cap=4)
+    vals = subword_bits(Seg("irrelevant", []), FixedLM(subs).score, cap=4)
     assert vals == [1.0] * 4
 
 

@@ -289,12 +289,6 @@ def test_unconvertible_value_names_row_and_column(attr, value, column):
         write_table([good, bad], "long", io.BytesIO())
 
 
-def test_plan_rejects_column_without_field():
-    columns = SCHEMA["long"][:-1] + ["word_count"]
-    with pytest.raises(TableError, match="not the fields of SegmentRecord"):
-        column_plan(columns, SegmentRecord)
-
-
 @dataclass
 class _FlagRecord:
     doc_id: str
@@ -304,4 +298,4 @@ class _FlagRecord:
 
 def test_plan_rejects_unsupported_annotation():
     with pytest.raises(TableError, match="unsupported annotation"):
-        column_plan(["doc_id", "flagged"], _FlagRecord)
+        column_plan(_FlagRecord)

@@ -1,8 +1,10 @@
 import logging
+import random
 from collections import Counter
 
 import pytest
 
+from wordbits.standardize import standardize
 from wordbits.transcripts import (
     FP_FORMS,
     count_events,
@@ -146,3 +148,54 @@ def test_count_events_invariant_random():
         events, _ = parse_transcript(raw)
         c = count_events(events)
         assert c.fillers <= c.fillers_plus_3 <= c.disfluencies
+
+
+def test_fp_variant_trail_stands_alone():
+    # the trail of a variant marker after an FP must not turn "euh" into the
+    # non-FP token "euh." while the FP is still counted
+    clean, fps, counts = normalize_segment("we euh [e:]. vote")
+    assert clean == "We euh . vote"
+    assert fps == [1] and counts.fillers == 1
+
+
+_FUZZ_WORDS = ("we", "the", "Kommission", "it's", "3,5", "well-intended",
+               "Änderung", "vote")
+_FUZZ_FPS = ("euh", "hum", "hm", "Euh", "HM")
+_FUZZ_MARKS = ("", "", "", ",", ".", "?")
+
+
+def _fuzz_token(rng):
+    word = rng.choice(_FUZZ_WORDS)
+    mark = rng.choice(_FUZZ_MARKS)
+    u = rng.random()
+    if u < 0.45:
+        return word + mark
+    if u < 0.60:
+        return rng.choice(_FUZZ_FPS)
+    if u < 0.66:
+        return "/"
+    if u < 0.72:
+        return word[:rng.randint(1, len(word))] + "/"
+    if u < 0.80:
+        repl = " ".join(rng.choice(_FUZZ_WORDS) for _ in range(rng.randint(0, 2)))
+        return f"[{rng.randint(1, 4)}#{repl}]{mark}"
+    if u < 0.86:
+        return f"[{word[:1]}:{word[1:3]}]{mark}"
+    if u < 0.89:
+        return rng.choice(("[", "]", "[note]", "a]b"))
+    if u < 0.92:
+        # standardize maps these to plain spaces, quotes and dashes
+        return rng.choice(("\u00a0", "\u2019s", "\u201cquote\u201d", "\u2013"))
+    return word
+
+
+def test_normalize_invariants_on_random_notation():
+    rng = random.Random(2026)
+    for _ in range(2000):
+        raw = " ".join(_fuzz_token(rng) for _ in range(rng.randint(0, 15)))
+        clean, fps, counts = normalize_segment(standardize(raw, "EN"))
+        tokens = clean.split()
+        assert all(0 <= p < len(tokens) and tokens[p] in FP_FORMS for p in fps), raw
+        assert len(fps) == counts.fillers, raw
+        assert clean == " ".join(tokens), raw
+        assert normalize_segment(clean)[:2] == (clean, fps), raw
