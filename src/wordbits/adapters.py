@@ -23,9 +23,16 @@ Responses:
   encoder          [{"surface": str, "span": [start, end], "vec": [float,...]}, ...]
   parser           [[{conllu token fields}, ...], ...]   (one list per sentence)
 
-Adapters may emit natural-log probabilities; scores are converted to base-2
-bits at ingestion.  Subword surfaces are marker-free; ``begins_word`` carries
-the beginning-of-word information.
+Adapters may emit natural-log probabilities.  A replay adapter decodes each
+record once, while it loads the file, into the value its lookups return:
+scores become base-2 ``SubwordScore``s, argmax predictions
+``PredictedPiece``s, parses ``ConlluToken``s, and an encoder response one
+read-only float64 array of its vectors (about 8 bytes per vector float in
+memory).  These values are immutable and shared between calls; each lookup
+returns a fresh list of them.  A record that is not valid JSON or does not
+decode, or that repeats a request with a different response, fails the
+load with its file and line.  Subword surfaces are marker-free;
+``begins_word`` carries the beginning-of-word information.
 """
 
 from __future__ import annotations
@@ -35,7 +42,9 @@ import json
 import math
 import re
 import unicodedata
-from dataclasses import dataclass
+from operator import eq
+from sys import intern
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,16 +53,14 @@ class AdapterError(RuntimeError):
     pass
 
 
-@dataclass
-class SubwordScore:
+class SubwordScore(NamedTuple):
     surface: str
     logprob2: float  # base-2 log probability, <= 0
     begins_word: bool = True
     is_punct_unit: bool = False
 
 
-@dataclass
-class PredictedPiece:
+class PredictedPiece(NamedTuple):
     surface: str
     begins_word: bool = True
 
@@ -72,14 +79,8 @@ def detokenize_pieces(pieces) -> str:
     return "".join(out)
 
 
-def _log2(logprob: float, base: str) -> float:
-    if base == "2":
-        return logprob
-    if base == "e":
-        return logprob / math.log(2)
-    if base == "10":
-        return logprob / math.log10(2)
-    raise AdapterError(f"unknown log base {base!r}")
+# divide a logprob in the meta's log_base by this to get bits
+_BITS_DIVISOR = {"2": 1.0, "e": math.log(2), "10": math.log10(2)}
 
 
 def request_key(request: dict) -> str:
@@ -95,36 +96,79 @@ def write_replay(path, meta: dict, records) -> None:
                                ensure_ascii=False) + "\n")
 
 
-def load_replay(path) -> tuple[dict, dict]:
+# what decoding a malformed record can raise; AdapterError and RecursionError
+# are RuntimeErrors
+_BAD_RECORD = (RuntimeError, LookupError, TypeError, ValueError, ArithmeticError,
+               AttributeError)
+
+
+def load_replay(path, adapter=None) -> tuple[dict, dict]:
+    """Read a replay file into its meta dict and a table from request key to
+    value.
+
+    With an adapter, ``adapter._accept(meta)`` checks the meta line before
+    any record is read, each record is stored as
+    ``adapter._decode(request, response)``, and ``adapter._same`` compares
+    the values of two records for one request.  Without one, the parsed
+    response is stored.  A record that does not parse or decode, or that
+    repeats a request with a different value, raises AdapterError naming
+    its line.
+    """
+    decode = adapter._decode if adapter is not None else (lambda request, response: response)
+    same = adapter._same if adapter is not None else eq
     with open(path, encoding="utf-8") as f:
         first = f.readline()
         if not first:
             raise AdapterError(f"{path}: empty replay file")
-        meta = json.loads(first).get("meta", {})
+        try:
+            meta = json.loads(first).get("meta", {})
+        except (ValueError, AttributeError) as exc:
+            raise AdapterError(f"{path}:1: bad replay meta line: {exc}") from exc
+        if adapter is not None:
+            adapter._accept(meta)
         table = {}
+        first_line = {}
         for lineno, line in enumerate(f, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
                 rec = json.loads(line)
-                table[request_key(rec["request"])] = rec["response"]
-            except (KeyError, json.JSONDecodeError) as exc:
+                request = rec["request"]
+                key = request_key(request)
+                value = decode(request, rec["response"])
+            except _BAD_RECORD as exc:
                 raise AdapterError(f"{path}:{lineno}: bad replay record: {exc}") from exc
+            if key not in table:
+                table[key] = value
+                first_line[key] = lineno
+            elif not same(table[key], value):
+                raise AdapterError(
+                    f"{path}:{lineno}: response for request {key} differs from "
+                    f"the one on line {first_line[key]}")
     return meta, table
 
 
 class _ReplayBase:
+    """A replay file's records, each decoded once at load by the subclass's
+    ``_decode(request, response)`` into the immutable value its lookups
+    return."""
+
     kind = ""
+    _same = staticmethod(eq)
 
     def __init__(self, path):
         self.path = str(path)
-        self.meta, self._table = load_replay(path)
-        if self.meta.get("kind") not in (None, self.kind):
+        self._units = {}  # surface -> (shared surface, is punct), while loading
+        self.meta, self._table = load_replay(path, self)
+        del self._units
+
+    def _accept(self, meta: dict) -> None:
+        if meta.get("kind") not in (None, self.kind):
             raise AdapterError(
-                f"{path}: replay kind {self.meta.get('kind')!r} does not match {self.kind!r}")
-        self.name = self.meta.get("name", "replay")
-        self.log_base = str(self.meta.get("log_base", "2"))
+                f"{self.path}: replay kind {meta.get('kind')!r} does not match {self.kind!r}")
+        self.name = meta.get("name", "replay")
+        self.log_base = str(meta.get("log_base", "2"))
 
     def _lookup(self, request: dict):
         key = request_key(request)
@@ -132,17 +176,24 @@ class _ReplayBase:
             raise AdapterError(f"{self.path}: no replay entry for request {key}")
         return self._table[key]
 
-    def _subwords(self, response) -> list[SubwordScore]:
+    def _scores(self, response) -> tuple:
+        divisor = _BITS_DIVISOR.get(self.log_base)
+        if divisor is None:
+            raise AdapterError(f"unknown log base {self.log_base!r}")
+        units = self._units
         subs = []
         for item in response:
             surface = item["surface"]
+            unit = units.get(surface)
+            if unit is None:
+                unit = units[surface] = (intern(surface), is_punct_text(surface))
             subs.append(SubwordScore(
-                surface=surface,
-                logprob2=min(0.0, _log2(float(item["logprob"]), self.log_base)),
-                begins_word=bool(item.get("begins_word", True)),
-                is_punct_unit=bool(item.get("is_punct", is_punct_text(surface))),
+                unit[0],
+                min(0.0, float(item["logprob"]) / divisor),
+                bool(item.get("begins_word", True)),
+                bool(item.get("is_punct", unit[1])),
             ))
-        return subs
+        return tuple(subs)
 
 
 class ReplayCausalLM(_ReplayBase):
@@ -150,8 +201,11 @@ class ReplayCausalLM(_ReplayBase):
 
     kind = "causal_lm"
 
+    def _decode(self, request, response) -> tuple:
+        return self._scores(response)
+
     def score(self, text: str) -> list[SubwordScore]:
-        return self._subwords(self._lookup({"text": text}))
+        return list(self._lookup({"text": text}))
 
 
 class ReplayMT(_ReplayBase):
@@ -159,13 +213,25 @@ class ReplayMT(_ReplayBase):
 
     kind = "mt"
 
+    def _decode(self, request, response) -> tuple:
+        if request.get("task") == "argmax":
+            return tuple(PredictedPiece(intern(item["surface"]),
+                                        bool(item.get("begins_word", True)))
+                         for item in response)
+        return self._scores(response)
+
     def score(self, src: str, tgt: str) -> list[SubwordScore]:
-        return self._subwords(self._lookup({"src": src, "tgt": tgt}))
+        return list(self._lookup({"src": src, "tgt": tgt}))
 
     def predict_argmax(self, src: str, tgt: str) -> list[PredictedPiece]:
-        response = self._lookup({"src": src, "tgt": tgt, "task": "argmax"})
-        return [PredictedPiece(item["surface"], bool(item.get("begins_word", True)))
-                for item in response]
+        return list(self._lookup({"src": src, "tgt": tgt, "task": "argmax"}))
+
+
+def _span(span) -> tuple[int, int]:
+    start, end = span
+    if type(start) is not int or type(end) is not int:
+        raise ValueError(f"span {span!r} is not two ints")
+    return start, end
 
 
 class ReplayEncoder(_ReplayBase):
@@ -173,13 +239,23 @@ class ReplayEncoder(_ReplayBase):
 
     kind = "encoder"
 
+    def _decode(self, request, response) -> tuple:
+        """(surfaces, (n, 2) int spans, read-only (n, dim) float64 vectors)."""
+        surfaces = tuple(intern(item["surface"]) for item in response)
+        spans = np.array([_span(item["span"]) for item in response], dtype=np.int64)
+        vecs = np.array([item["vec"] for item in response], dtype=float)
+        if response and vecs.ndim != 2:
+            raise ValueError("each vec must be one flat list of numbers")
+        vecs.flags.writeable = False
+        return surfaces, spans, vecs
+
+    @staticmethod
+    def _same(a, b) -> bool:
+        return a[0] == b[0] and all(map(np.array_equal, a[1:], b[1:]))
+
     def embed(self, text: str, lang: str) -> list[tuple[str, tuple[int, int], np.ndarray]]:
-        response = self._lookup({"text": text, "lang": lang})
-        out = []
-        for item in response:
-            out.append((item["surface"], tuple(item["span"]),
-                        np.asarray(item["vec"], dtype=float)))
-        return out
+        surfaces, spans, vecs = self._lookup({"text": text, "lang": lang})
+        return list(zip(surfaces, map(tuple, spans.tolist()), vecs))
 
 
 _WORDISH = re.compile(r"\w+|[^\w\s]+", re.UNICODE)

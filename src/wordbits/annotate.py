@@ -13,6 +13,8 @@ import logging
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
+from sys import intern
+from typing import NamedTuple
 
 from .adapters import AdapterError, _ReplayBase
 from .records import WordRow
@@ -24,8 +26,7 @@ _CONLLU_KEYS = ("id", "form", "lemma", "upos", "xpos", "feats",
                 "head", "deprel", "deps", "misc")
 
 
-@dataclass
-class ConlluToken:
+class ConlluToken(NamedTuple):
     id: str  # "3" or a multiword range "1-2"
     form: str
     lemma: str = None
@@ -46,22 +47,27 @@ class ConlluToken:
         return int(a), int(b)
 
 
-def _to_token(rec: dict) -> ConlluToken:
-    kw = {k: rec.get(k) for k in _CONLLU_KEYS if rec.get(k) is not None}
-    if "head" in kw:
-        kw["head"] = int(kw["head"])
-    return ConlluToken(**kw)
-
-
 class ReplayParser(_ReplayBase):
     """Replays recorded parses: one request per (text, lang), response is a
     list of sentences, each a list of CoNLL-U token records."""
 
     kind = "parser"
 
+    def _decode(self, request, response) -> tuple:
+        sentences = []
+        for sent in response:
+            tokens = []
+            for rec in sent:
+                kw = {k: intern(v) if type(v) is str else v
+                      for k in _CONLLU_KEYS if (v := rec.get(k)) is not None}
+                if "head" in kw:
+                    kw["head"] = int(kw["head"])
+                tokens.append(ConlluToken(**kw))
+            sentences.append(tuple(tokens))
+        return tuple(sentences)
+
     def annotate(self, text: str, lang: str):
-        sentences = self._lookup({"text": text, "lang": lang})
-        return [[_to_token(rec) for rec in sent] for sent in sentences]
+        return [list(sent) for sent in self._lookup({"text": text, "lang": lang})]
 
 
 class MockParser:

@@ -1,5 +1,7 @@
 import json
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,12 +15,14 @@ from wordbits.adapters import (
     ReplayCausalLM,
     ReplayEncoder,
     ReplayMT,
+    SubwordScore,
     detokenize_pieces,
     is_punct_text,
     load_replay,
     mock_pieces,
     write_replay,
 )
+from wordbits.annotate import ConlluToken, ReplayParser
 
 
 def _write(path, meta, records):
@@ -119,6 +123,14 @@ def test_corrupt_record_rejected(tmp_path):
         load_replay(p)
 
 
+@pytest.mark.parametrize("first_line", ["not json", "[1]"])
+def test_corrupt_meta_line_names_file(tmp_path, first_line):
+    p = tmp_path / "bad.jsonl"
+    p.write_text(first_line + "\n")
+    with pytest.raises(AdapterError, match=re.escape(f"{p}:1: bad replay meta line")):
+        load_replay(p)
+
+
 def test_unicode_survives_replay(tmp_path):
     text = "für über"
     p = _write(tmp_path / "lm.jsonl", {"kind": "causal_lm"},
@@ -175,3 +187,167 @@ def test_mock_encoder_same_surface_same_vector():
     assert np.isclose(np.linalg.norm(v1), 8.0)
     spans = [span for _, span, _ in enc.embed("ab cd", "EN")]
     assert spans == [(0, 2), (3, 5)]
+
+
+_LM = {"kind": "causal_lm"}
+_ENC = {"kind": "encoder"}
+_PARSE = {"kind": "parser"}
+_GOOD_LM = ({"text": "a"}, [{"surface": "a", "logprob": -1}])
+_GOOD_ENC = ({"text": "a", "lang": "EN"}, [{"surface": "a", "span": [0, 1], "vec": [1.0, 2.0]}])
+_GOOD_PARSE = ({"text": "a", "lang": "EN"}, [[{"id": "1", "form": "a", "head": 0}]])
+
+
+@pytest.mark.parametrize("kind, response", [
+    ("causal_lm", [{"logprob": -1}]),
+    ("causal_lm", [{"surface": "b"}]),
+    ("causal_lm", [{"surface": "b", "logprob": "low"}]),
+    ("causal_lm", [{"surface": "b", "logprob": None}]),
+    ("encoder", [{"surface": "b", "span": [0, 1], "vec": [1.0, 2.0]},
+                 {"surface": "c", "span": [1, 2], "vec": [1.0]}]),
+    ("encoder", [{"surface": "b", "span": [0, 1], "vec": [1.0, "x"]}]),
+    ("encoder", [{"surface": "b", "span": [0, 1], "vec": 1.0}]),
+    ("encoder", [{"surface": "b", "span": [0, 1, 2], "vec": [1.0]}]),
+    ("encoder", [{"surface": "b", "span": [0.0, 1], "vec": [1.0]}]),
+    ("encoder", [{"surface": "b", "span": "01", "vec": [1.0]}]),
+    ("parser", [[{"form": "b", "head": 0}]]),
+    ("parser", [[{"id": "1", "head": 0}]]),
+    ("parser", [[{"id": "1", "form": "b", "head": "root"}]]),
+], ids=["lm-no-surface", "lm-no-logprob", "lm-text-logprob", "lm-null-logprob",
+        "enc-ragged-vec", "enc-text-in-vec", "enc-scalar-vec", "enc-three-int-span",
+        "enc-float-span", "enc-string-span", "parse-no-id", "parse-no-form",
+        "parse-text-head"])
+def test_bad_record_fails_load_with_file_and_line(tmp_path, kind, response):
+    cls, good = {"causal_lm": (ReplayCausalLM, _GOOD_LM), "encoder": (ReplayEncoder, _GOOD_ENC),
+                 "parser": (ReplayParser, _GOOD_PARSE)}[kind]
+    request = dict(good[0], text="b")
+    p = _write(tmp_path / "bad.jsonl", {"kind": kind}, [good, (request, response)])
+    with pytest.raises(AdapterError, match=re.escape(f"{p}:3: bad replay record: ")):
+        cls(p)
+
+
+def test_bad_mt_argmax_record_fails_load(tmp_path):
+    p = _write(tmp_path / "mt.jsonl", {"kind": "mt"},
+               [({"src": "a", "tgt": "b", "task": "argmax"}, [{"begins_word": True}])])
+    with pytest.raises(AdapterError, match=re.escape(f"{p}:2: bad replay record")):
+        ReplayMT(p)
+
+
+def test_unknown_log_base_fails_load(tmp_path):
+    p = _write(tmp_path / "lm.jsonl", {"kind": "causal_lm", "log_base": "7"}, [_GOOD_LM])
+    with pytest.raises(AdapterError, match=r":2: bad replay record: unknown log base '7'"):
+        ReplayCausalLM(p)
+
+
+def test_kind_checked_before_records_decode(tmp_path):
+    p = _write(tmp_path / "x.jsonl", _ENC, [({"text": "a"}, [{"logprob": "none"}])])
+    with pytest.raises(AdapterError, match="replay kind 'encoder' does not match"):
+        ReplayCausalLM(p)
+
+
+def test_conflicting_duplicate_request_rejected(tmp_path):
+    p = _write(tmp_path / "lm.jsonl", _LM, [
+        _GOOD_LM,
+        ({"text": "z"}, [{"surface": "z", "logprob": -1}]),
+        ({"text": "a"}, [{"surface": "a", "logprob": -2}]),
+    ])
+    with pytest.raises(AdapterError, match=r":4: response for request .* line 2$"):
+        ReplayCausalLM(p)
+
+
+def test_conflicting_duplicate_embedding_rejected(tmp_path):
+    request, response = _GOOD_ENC
+    other = [dict(response[0], vec=[1.0, 2.5])]
+    p = _write(tmp_path / "enc.jsonl", _ENC, [_GOOD_ENC, (request, other)])
+    with pytest.raises(AdapterError, match="line 2"):
+        ReplayEncoder(p)
+
+
+def test_identical_duplicate_requests_allowed(tmp_path):
+    p = _write(tmp_path / "enc.jsonl", _ENC, [_GOOD_ENC, _GOOD_ENC])
+    assert len(ReplayEncoder(p).embed("a", "EN")) == 1
+    p = _write(tmp_path / "lm.jsonl", _LM, [_GOOD_LM, _GOOD_LM])
+    assert ReplayCausalLM(p).score("a")[0].logprob2 == -1
+
+
+def test_records_decode_once_into_shared_values(tmp_path):
+    p = _write(tmp_path / "lm.jsonl", {"kind": "causal_lm", "log_base": "e"},
+               [({"text": "x"}, [{"surface": "x", "logprob": -math.log(2)}])])
+    lm = ReplayCausalLM(p)
+    first = lm.score("x")
+    assert first[0] is lm.score("x")[0]
+    first.append("junk")
+    first[0] = None
+    assert lm.score("x") == [SubwordScore("x", pytest.approx(-1.0, abs=1e-12), True, False)]
+
+
+@pytest.mark.parametrize("value, field", [
+    (SubwordScore("a", -1.0), "logprob2"),
+    (PredictedPiece("a"), "surface"),
+    (ConlluToken("1", "a"), "head"),
+])
+def test_returned_values_are_immutable(value, field):
+    with pytest.raises(AttributeError):
+        setattr(value, field, 0)
+
+
+def test_mt_lists_are_fresh_per_call(tmp_path):
+    p = _write(tmp_path / "mt.jsonl", {"kind": "mt"}, [
+        ({"src": "a", "tgt": "b"}, [{"surface": "b", "logprob": -2}]),
+        ({"src": "a", "tgt": "b", "task": "argmax"}, [{"surface": "b"}]),
+    ])
+    mt = ReplayMT(p)
+    mt.score("a", "b").clear()
+    mt.predict_argmax("a", "b").clear()
+    assert [s.surface for s in mt.score("a", "b")] == ["b"]
+    assert mt.predict_argmax("a", "b") == [PredictedPiece("b", True)]
+
+
+def test_encoder_vectors_read_only_float64(tmp_path):
+    vecs = [[1, 0.1, -2.5e-3], [3.25, 0, 1e300]]
+    p = _write(tmp_path / "enc.jsonl", _ENC, [
+        ({"text": "hi x", "lang": "EN"},
+         [{"surface": "hi", "span": [0, 2], "vec": vecs[0]},
+          {"surface": "x", "span": [3, 4], "vec": vecs[1]}]),
+    ])
+    enc = ReplayEncoder(p)
+    out = enc.embed("hi x", "EN")
+    assert [(s, span) for s, span, _ in out] == [("hi", (0, 2)), ("x", (3, 4))]
+    assert all(type(i) is int for _, span, _ in out for i in span)
+    for (_, _, vec), json_vec in zip(out, vecs):
+        assert vec.dtype == np.float64 and not vec.flags.writeable
+        assert np.array_equal(vec, np.asarray(json_vec, dtype=float))
+        with pytest.raises(ValueError):
+            vec[0] = 9.0
+    out.clear()
+    assert len(enc.embed("hi x", "EN")) == 2
+
+
+def test_parser_lists_are_fresh_per_call(tmp_path):
+    p = _write(tmp_path / "parse.jsonl", _PARSE, [_GOOD_PARSE])
+    parser = ReplayParser(p)
+    first = parser.annotate("a", "EN")
+    first[0].append(ConlluToken("2", "junk"))
+    first.append([])
+    assert parser.annotate("a", "EN") == [[ConlluToken("1", "a", head=0)]]
+
+
+def test_encoder_holds_about_eight_bytes_per_float(tmp_path):
+    # a list of Python floats costs 32 bytes per float; one float64 array 8
+    dim, n_records, n_subwords = 768, 4, 12
+    rng = np.random.default_rng(0)
+    records = []
+    for r in range(n_records):
+        text = " ".join(f"w{r}{k}" for k in range(n_subwords))
+        records.append(({"text": text, "lang": "EN"},
+                        [{"surface": f"w{r}{k}", "span": [0, 1],
+                          "vec": rng.normal(size=dim).round(6).tolist()}
+                         for k in range(n_subwords)]))
+    p = _write(tmp_path / "enc.jsonl", _ENC, records)
+    tracemalloc.start()
+    try:
+        enc = ReplayEncoder(p)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(enc._table) == n_records
+    assert held / (dim * n_records * n_subwords) < 12
