@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
+from typing import Callable
 
 MODES = ("SP", "WR")
 
@@ -19,6 +20,8 @@ IMPLIED_MODE = {"SI": "SP", "TR": "WR"}
 _TTYPE_RE = re.compile(r"[A-Z][A-Z0-9]*")
 _LANG_RE = re.compile(r"[A-Z]{2}")
 _TAIL_RE = re.compile(r"(\d+)-(\d+)(?::(\d+))?(?::(\d+))?")
+# what follows a head's first ":" when item_id_reader may skip the full parse
+_WORD_TAIL_RE = re.compile(r"([0-9]+)(?::([0-9]+))?")
 
 
 class ItemIdError(ValueError):
@@ -116,3 +119,35 @@ def parse_item_id(s: str) -> ItemId:
         int(sub) if sub is not None else None,
         explicit_mode=explicit,
     )
+
+
+def item_id_reader(keep: Callable[[str], str]) -> Callable[[str], ItemId]:
+    """A parse_item_id that parses each ``<ttype>…<doc>-<seg>`` head once.
+
+    An id splits at its first ":" into head and word tail.  The head is
+    parsed the first time it is seen, and the ItemId is built from its
+    components, with the word id taken through ``keep``.  Any other id (a
+    bad head, or a tail that is not ASCII ``digits`` or ``digits:digits``)
+    goes through the full parse_item_id, so it parses or raises exactly as
+    parse_item_id does."""
+    heads: dict[str, ItemId] = {}
+
+    def parse(s: str) -> ItemId:
+        head, colon, tail = s.partition(":")
+        m = _WORD_TAIL_RE.fullmatch(tail) if colon else None
+        if colon and m is None:
+            return parse_item_id(s)
+        base = heads.get(head)
+        if base is None:
+            try:
+                base = heads[head] = parse_item_id(head)
+            except ItemIdError:
+                return parse_item_id(s)  # the head is bad, so this raises for the id
+        if m is None:
+            return base
+        word, sub = m.groups()
+        return ItemId(base.ttype, base.mode, base.src_lang, base.tgt_lang, base.doc_id,
+                      base.seg_id, keep(word), None if sub is None else int(sub),
+                      base.explicit_mode)
+
+    return parse

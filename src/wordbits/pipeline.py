@@ -310,12 +310,14 @@ def _align_segment(src_seg, tgt_seg, encoder, cfg: RunConfig):
     # the ", "-joined TSV list cannot carry surfaces that themselves
     # contain a comma; null those alignments rather than corrupt rows
     for rows in (src_rows, tgt_rows):
-        for row in rows:
-            if row.aligned_word and any("," in t for t in row.aligned_word):
-                log.warning("comma inside aligned surface, alignment "
-                            "nulled for %s", row.word_id.render())
-                row.aligned_word = None
-                row.aligned_word_id = None
+        nulled = [row for row in rows
+                  if row.aligned_word and any("," in t for t in row.aligned_word)]
+        if nulled:
+            log.warning("comma inside aligned surface, %d alignments nulled, "
+                        "first for %s", len(nulled), nulled[0].word_id.render())
+        for row in nulled:
+            row.aligned_word = None
+            row.aligned_word_id = None
 
 
 def annotate_corpus(segments, cfg: RunConfig, adapters: AdapterSet):

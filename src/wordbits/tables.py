@@ -13,6 +13,10 @@ except the space-joined tokens column.  Writers emit optional "#"-prefixed
 provenance lines before the header; readers skip them, match columns by name
 and keep unknown columns as strings.  Gzip members are written with mtime=0
 so identical content yields identical bytes.
+
+A read keeps one string object per distinct string value and parses each id
+head once: the columns that are constant within a segment side (raw_seg
+above all) then cost one copy per segment, not one per row.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from operator import attrgetter
 from types import UnionType
 from typing import Iterable, Union, get_args, get_origin, get_type_hints
 
-from wordbits.ids import ItemId, parse_item_id
+from wordbits.ids import ItemId, item_id_reader
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
 
 FORMATS = ("vertical", "long", "wide")
@@ -64,32 +68,46 @@ def _list_codec(sep: str, banned: str, problem: str):
                 raise TableError(f"{problem} {p!r}")
         return sep.join(parts)
 
-    def parse(cell: str) -> list[str]:
-        return cell.split(sep) if cell else []
+    def reader(keep):
+        def parse(cell: str) -> list[str]:
+            return list(map(keep, cell.split(sep))) if cell else []
+        return parse
 
-    return serialize, parse
+    return serialize, reader
 
 
-# annotation (without "| None") -> (serialize, parse); None is always "NA"
+class _Strings(dict):
+    """The first string read for each value, so that equal cells of one read
+    share one object."""
+
+    def __missing__(self, s: str) -> str:
+        self[s] = s
+        return s
+
+
+# annotation (without "| None") -> (serialize, reader); None is always "NA".
+# A reader takes the read's keep(str) -> str, the first equal string read,
+# and returns the cell parser for that read.
 _CODECS = {
-    ItemId: (ItemId.render, parse_item_id),
-    int: (lambda v: str(int(v)), int),
-    float: (lambda v: repr(float(v)), float),
-    str: (_text, str),
+    ItemId: (ItemId.render, item_id_reader),
+    int: (lambda v: str(int(v)), lambda keep: int),
+    float: (lambda v: repr(float(v)), lambda keep: float),
+    str: (_text, lambda keep: keep),
     list[str]: _list_codec(", ", ",", "comma inside list element"),
 }
 _TOKENS = _list_codec(" ", " ", "space inside token")
 
 
 def column_plan(rec_type) -> list[tuple]:
-    """(column, attribute, serialize, parse) per field of rec_type but extra,
+    """(column, attribute, serialize, reader) per field of rec_type but extra,
     in field order; raises TableError for a field whose annotation has no
-    codec."""
+    codec, or when extra is not the last field (reads build records
+    positionally)."""
     hints = get_type_hints(rec_type)
+    if [f.name for f in fields(rec_type)][-1:] != ["extra"]:
+        raise TableError(f"{rec_type.__name__}: extra must be the last field")
     plan = []
-    for f in fields(rec_type):
-        if f.name == "extra":
-            continue
+    for f in fields(rec_type)[:-1]:
         hint = hints[f.name]
         if get_origin(hint) in (Union, UnionType):  # drop "| None"
             hint = Union[tuple(a for a in get_args(hint) if a is not type(None))]
@@ -178,7 +196,10 @@ def write_table(rows: Iterable, format: str, sink, provenance: dict | None = Non
 
 
 def read_table(source, format: str) -> list:
-    """Read records back from a gzip TSV byte stream or path."""
+    """Read records back from a gzip TSV byte stream or path.
+
+    Equal string cells of one read share one object, list elements too (the
+    lists themselves are one per row), and each id head is parsed once."""
     plan = _plan_for(format)
     rec_type = _RECORD_TYPES[format]
     columns = SCHEMA[format]
@@ -197,7 +218,8 @@ def read_table(source, format: str) -> list:
         if missing:
             raise TableError(f"missing required columns: {missing}")
         pos = {c: header.index(c) for c in header}
-        fields_at = [(column, attr, parse, pos[column]) for column, attr, _, parse in plan]
+        keep = _Strings().__getitem__
+        fields_at = [(column, pos[column], reader(keep)) for column, _, _, reader in plan]
         extras_at = [(c, pos[c]) for c in header if c not in columns]
 
         rows = []
@@ -206,14 +228,14 @@ def read_table(source, format: str) -> list:
             if len(cells) != len(header):
                 raise TableError(f"row {idx} (line {first_line + idx}): "
                                  f"expected {len(header)} cells, got {len(cells)}")
-            kwargs = {}
+            values = []
             try:
-                for column, attr, parse, i in fields_at:
+                for column, i, parse in fields_at:
                     cell = cells[i]
-                    kwargs[attr] = None if cell == "NA" else parse(cell)
+                    values.append(None if cell == "NA" else parse(cell))
             except (TypeError, ValueError) as exc:
                 raise TableError(f"row {idx} (line {first_line + idx}): column "
                                  f"{column!r}: cannot parse {cell!r}: {exc}") from exc
-            extra = {c: None if cells[i] == "NA" else cells[i] for c, i in extras_at}
-            rows.append(rec_type(**kwargs, extra=extra))
+            extra = {c: None if cells[i] == "NA" else keep(cells[i]) for c, i in extras_at}
+            rows.append(rec_type(*values, extra=extra))
         return rows

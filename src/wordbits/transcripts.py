@@ -18,6 +18,10 @@ Notation handled here:
   FPs              filled pauses; surface variants case-folded to one of
                    ``euh``, ``hum``, ``hm`` and kept in the clean text.
 
+Text directly after a ``]`` reads as if a space stood before it, with one
+exception: punctuation right after a repair's replacement text ends that text
+(``[6#amendments].`` gives ``amendments.``).
+
 Unbalanced brackets yield an ``unresolved`` event and a warning, never a
 hard failure.
 """
@@ -35,8 +39,10 @@ FP_FORMS = ("euh", "hum", "hm")
 # Categories counted by fillers_plus_3 on top of FPs.
 _F3_KINDS = {"FP", "truncation", "midword_break", "repetition_repair"}
 
-_TOKEN = re.compile(r"\[[^\[\]]*\]\S*|[^\s\[]+|\[")
-_BRACKET = re.compile(r"\[([^\[\]]*)\](\S*)")
+_TOKEN = re.compile(r"\[[^\[\]]*\]|[^\s\[]+|\[")
+_BRACKET = re.compile(r"\[([^\[\]]*)\]")
+# punctuation that, right after a repair's "]", ends the replacement text
+_REPAIR_TRAIL = re.compile(r"[^\w\[\]/]+")
 _REPAIR = re.compile(r"(\d+)#(.*)", re.DOTALL)
 _VARIANT = re.compile(r"([^:#]*):(.*)", re.DOTALL)
 
@@ -83,7 +89,7 @@ def _classify_fragments(region: list[_Entry], replacement: str, events: list[Dis
 
 
 def _apply_repair(pending: list[_Entry], events: list[DisfluencyEvent],
-                  n: int, replacement: str, trail: str, span: tuple[int, int]):
+                  n: int, replacement: str, span: tuple[int, int]):
     repl_tokens = replacement.split()
     compare = {t.casefold() for t in repl_tokens[:1]}
     region_rev: list[_Entry] = []
@@ -133,15 +139,7 @@ def _apply_repair(pending: list[_Entry], events: list[DisfluencyEvent],
     if kept is not None:
         # the kept entry was popped off with the walk; reattach it
         pending.append(kept)
-        if trail:
-            kept.surface += trail
-    if repl_tokens:
-        entries = [_Entry(t, span=span) for t in repl_tokens]
-        if trail:
-            entries[-1].surface += trail
-        pending.extend(entries)
-    elif kept is None and trail:
-        pending.append(_Entry(trail, span=span))
+    pending.extend(_Entry(t, span=span) for t in repl_tokens)
 
 
 def parse_transcript(raw: str) -> tuple[list[DisfluencyEvent], list[str]]:
@@ -152,8 +150,12 @@ def parse_transcript(raw: str) -> tuple[list[DisfluencyEvent], list[str]]:
     """
     events: list[DisfluencyEvent] = []
     pending: list[_Entry] = []
+    glue_at = None  # end offset of the last repair with replacement text
     for text, start, end in _lex(raw):
         span = (start, end)
+        if start == glue_at and _REPAIR_TRAIL.fullmatch(text):
+            pending[-1].surface += text
+            continue
         if set(text) == {"/"}:
             events.append(DisfluencyEvent("pause", span))
             continue
@@ -163,20 +165,17 @@ def parse_transcript(raw: str) -> tuple[list[DisfluencyEvent], list[str]]:
             continue
         m = _BRACKET.fullmatch(text)
         if m:
-            inner, trail = m.groups()
+            inner = m.group(1)
             rm = _REPAIR.fullmatch(inner)
             if rm:
-                _apply_repair(pending, events, int(rm.group(1)), rm.group(2), trail, span)
+                _apply_repair(pending, events, int(rm.group(1)), rm.group(2), span)
+                if rm.group(2).split():
+                    glue_at = end
                 continue
             vm = _VARIANT.fullmatch(inner)
             if vm:
                 events.append(DisfluencyEvent(
                     "phonetic_variant", span, resolution=vm.group(1) + vm.group(2)))
-                if trail and pending and pending[-1].is_fp:
-                    # "euh." is no FP form: the trail stands alone
-                    pending.append(_Entry(trail, span=span))
-                elif trail and pending:
-                    pending[-1].surface += trail
                 continue
             log.warning("unrecognized bracket %r at offset %d", text, start)
             events.append(DisfluencyEvent("unresolved", span))

@@ -156,3 +156,45 @@ def test_word_map_from_spans_matches_linear_scan():
                          if lo <= start < hi), None)
                 for k, (_, (start, _), _) in enumerate(emb)}
         assert pipeline._word_map_from_spans(spans, emb) == want
+
+
+class _OneHotEncoder:
+    """One subword per whitespace word; word k of each side points only at
+    word k of the other."""
+
+    name = "one-hot"
+
+    def embed(self, text, lang):
+        out, start = [], 0
+        words = text.split()
+        for k, w in enumerate(words):
+            out.append((w, (start, start + len(w)), [10.0 * (i == k) for i in range(len(words))]))
+            start += len(w) + 1
+        return out
+
+
+def _aligned_side(ttype, words):
+    spans, start = {}, 0
+    for k, w in enumerate(words):
+        spans[k] = (start, start + len(w))
+        start += len(w) + 1
+    rows = [WordRow(ItemId(ttype, "SP", "DE", "EN", "001", "01", f"{k + 1:03d}"), token=w)
+            for k, w in enumerate(words)]
+    return type("Side", (), {"text": " ".join(words), "spans": spans, "surface": rows})
+
+
+def test_comma_nulled_alignments_warn_once_per_side(caplog):
+    src = _aligned_side("ORG", ["a,b", "c,d", "e"])
+    tgt = _aligned_side("SI", ["x,1", "y", "z"])
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        pipeline._align_segment(src, tgt, _OneHotEncoder(), RunConfig(lpair="de-en"))
+    assert [r.aligned_word for r in src.surface] == [None, ["y"], ["z"]]
+    assert [r.aligned_word_id for r in src.surface][1:] == [["SI_SP_DE_EN_001-01:002"],
+                                                             ["SI_SP_DE_EN_001-01:003"]]
+    assert [r.aligned_word for r in tgt.surface] == [None, None, ["e"]]
+    assert tgt.surface[0].aligned_word_id is None and src.surface[0].aligned_word_id is None
+    warned = [r.getMessage() for r in caplog.records if "comma" in r.getMessage()]
+    assert warned == [
+        "comma inside aligned surface, 1 alignments nulled, first for ORG_SP_DE_EN_001-01:001",
+        "comma inside aligned surface, 2 alignments nulled, first for SI_SP_DE_EN_001-01:001",
+    ]

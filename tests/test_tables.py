@@ -4,11 +4,12 @@ import io
 import random
 import re
 import string
+import tracemalloc
 from dataclasses import dataclass, field
 
 import pytest
 
-from wordbits.ids import ItemId
+from wordbits.ids import ItemId, ItemIdError, parse_item_id
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
 from wordbits.tables import SCHEMA, TableError, column_plan, read_table, write_table
 
@@ -299,3 +300,82 @@ class _FlagRecord:
 def test_plan_rejects_unsupported_annotation():
     with pytest.raises(TableError, match="unsupported annotation"):
         column_plan(_FlagRecord)
+
+
+def _segment_rows(seg, n, raw_seg):
+    """n word rows of one target segment side."""
+    return [WordRow(word_id=ItemId("SI", "SP", "DE", "EN", "030", seg, f"{k:03d}",
+                                   explicit_mode=False),
+                    token=f"w{k}", pos="NOUN", srp_base_gpt2=k / 3, doc_id="030",
+                    seg_id=seg, lpair="de-en", lang="EN", mode="SP", ttype="SI",
+                    speaker_id="spk17", raw_seg=raw_seg)
+            for k in range(1, n + 1)]
+
+
+def _write(rows, format="vertical") -> bytes:
+    buf = io.BytesIO()
+    write_table(rows, format, buf)
+    return buf.getvalue()
+
+
+def test_read_shares_segment_constants():
+    rows = _segment_rows("01", 6, "we vote on the report") + _segment_rows(
+        "02", 5, "and on the amendments")
+    back = read_table(io.BytesIO(_write(rows)), "vertical")
+    assert back == rows
+    for seg in ("01", "02"):
+        side = [r for r in back if r.seg_id == seg]
+        first = side[0]
+        for r in side[1:]:
+            assert r.raw_seg is first.raw_seg
+            assert r.doc_id is first.doc_id
+            assert r.speaker_id is first.speaker_id
+            assert r.word_id.doc_id is first.word_id.doc_id
+    # equal strings are shared, lists stay one per row
+    back[0].aligned_word = ["x"]
+    assert back[1].aligned_word is None
+
+
+def test_read_holds_one_raw_seg_per_segment():
+    # a copy of the 4.5 kB raw_seg per row would hold over 4.5 kB a row
+    raw = " ".join(f"word{k}" for k in range(600))
+    rows = [r for seg in ("01", "02") for r in _segment_rows(seg, 100, raw)]
+    table = io.BytesIO(_write(rows))
+    tracemalloc.start()
+    try:
+        back = read_table(table, "vertical")
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back == rows
+    assert held / len(back) < 1000
+
+
+_HEAD = "SI_DE_EN_030-01"
+
+
+@pytest.mark.parametrize("bad", [
+    f"{_HEAD}:0a3", f"{_HEAD}:", f"{_HEAD}:003:x", f"{_HEAD}:003:1:2",
+    "SI_DE_en_030-01:003", f"{_HEAD}:\u0663", f"{_HEAD}:003:\u0663", _HEAD,
+], ids=["letter", "empty-word", "bad-sub", "extra-part", "bad-head", "arabic-word",
+        "arabic-sub", "no-word"])
+def test_read_id_matches_full_parse(bad):
+    rows = _segment_rows("01", 3, "we vote")
+    lines = gzip.decompress(_write(rows)).decode().split("\n")
+    cells = lines[2].split("\t")
+    cells[SCHEMA["vertical"].index("word_id")] = bad
+    lines[2] = "\t".join(cells)
+    table = io.BytesIO(gzip.compress("\n".join(lines).encode()))
+    try:
+        want = parse_item_id(bad)
+    except ItemIdError as exc:
+        with pytest.raises(TableError) as got:
+            read_table(table, "vertical")
+        assert str(got.value) == (f"row 1 (line 3): column 'word_id': "
+                                  f"cannot parse {bad!r}: {exc}")
+        assert got.value.__cause__.component == exc.component
+    else:
+        back = read_table(table, "vertical")
+        assert back[1].word_id == want
+        assert [r.word_id for r in back[::2]] == [rows[0].word_id, rows[2].word_id]
+

@@ -158,44 +158,77 @@ def test_fp_variant_trail_stands_alone():
     assert fps == [1] and counts.fillers == 1
 
 
+@pytest.mark.parametrize("glued,spaced,clean,fps", [
+    ("we go [2#]euh now", "we go [2#] euh now", "We go euh now", [2]),
+    ("[e:]. we go", "[e:] . we go", ". we go", []),
+    ("wor/ [w:o]. word", "wor/ [w:o] . word", ". word", []),
+    ("the [e:]. vote", "the [e:] . vote", "The . vote", []),
+])
+def test_text_after_bracket_reads_as_if_spaced(glued, spaced, clean, fps):
+    assert normalize_segment(glued) == normalize_segment(spaced)
+    assert normalize_segment(glued)[:2] == (clean, fps)
+
+
+def test_punctuation_after_repair_text_ends_it():
+    assert normalize_segment("amendments [1#amendments].")[0] == "Amendments."
+    assert normalize_segment("a [2#b c]? d")[0] == "B c? d"
+    # after an empty replacement the trail reads as if spaced
+    assert normalize_segment("we [2#]. go")[0] == "We . go"
+
+
 _FUZZ_WORDS = ("we", "the", "Kommission", "it's", "3,5", "well-intended",
                "Änderung", "vote")
 _FUZZ_FPS = ("euh", "hum", "hm", "Euh", "HM")
 _FUZZ_MARKS = ("", "", "", ",", ".", "?")
+# text drawn right after a "]": marks, which end a repair's replacement
+# text, and words, FPs and notation, which read as if spaced
+_FUZZ_TRAILS = _FUZZ_MARKS + ("...", "euh", "Hm", "we", "'s", "vote/", "/", "]", "[e:]")
 
 
 def _fuzz_token(rng):
+    """(text, trail): trail is text drawn right after a bracket's "]"."""
     word = rng.choice(_FUZZ_WORDS)
     mark = rng.choice(_FUZZ_MARKS)
     u = rng.random()
     if u < 0.45:
-        return word + mark
+        return word + mark, ""
     if u < 0.60:
-        return rng.choice(_FUZZ_FPS)
+        return rng.choice(_FUZZ_FPS), ""
     if u < 0.66:
-        return "/"
+        return "/", ""
     if u < 0.72:
-        return word[:rng.randint(1, len(word))] + "/"
+        return word[:rng.randint(1, len(word))] + "/", ""
     if u < 0.80:
         repl = " ".join(rng.choice(_FUZZ_WORDS) for _ in range(rng.randint(0, 2)))
-        return f"[{rng.randint(1, 4)}#{repl}]{mark}"
+        return f"[{rng.randint(1, 4)}#{repl}]", rng.choice(_FUZZ_TRAILS)
     if u < 0.86:
-        return f"[{word[:1]}:{word[1:3]}]{mark}"
+        return f"[{word[:1]}:{word[1:3]}]", rng.choice(_FUZZ_TRAILS)
     if u < 0.89:
-        return rng.choice(("[", "]", "[note]", "a]b"))
+        return rng.choice(("[", "]", "[note]", "a]b")), ""
     if u < 0.92:
         # standardize maps these to plain spaces, quotes and dashes
-        return rng.choice(("\u00a0", "\u2019s", "\u201cquote\u201d", "\u2013"))
-    return word
+        return rng.choice(("\u00a0", "\u2019s", "\u201cquote\u201d", "\u2013")), ""
+    return word, ""
+
+
+def _spaced(text, trail):
+    """text and trail as the glued form must read: spaced, unless trail is a
+    mark ending a repair's replacement text."""
+    ends_replacement = (trail in _FUZZ_MARKS + ("...",) and "#" in text
+                        and text.split("#", 1)[1][:-1].strip())
+    return text + trail if ends_replacement or not trail else f"{text} {trail}"
 
 
 def test_normalize_invariants_on_random_notation():
     rng = random.Random(2026)
     for _ in range(2000):
-        raw = " ".join(_fuzz_token(rng) for _ in range(rng.randint(0, 15)))
+        pieces = [_fuzz_token(rng) for _ in range(rng.randint(0, 15))]
+        raw = " ".join(text + trail for text, trail in pieces)
         clean, fps, counts = normalize_segment(standardize(raw, "EN"))
         tokens = clean.split()
         assert all(0 <= p < len(tokens) and tokens[p] in FP_FORMS for p in fps), raw
         assert len(fps) == counts.fillers, raw
         assert clean == " ".join(tokens), raw
         assert normalize_segment(clean)[:2] == (clean, fps), raw
+        spaced = " ".join(_spaced(text, trail) for text, trail in pieces)
+        assert normalize_segment(standardize(spaced, "EN")) == (clean, fps, counts), raw
