@@ -321,6 +321,8 @@ def _write(rows, format="vertical") -> bytes:
 def test_read_shares_segment_constants():
     rows = _segment_rows("01", 6, "we vote on the report") + _segment_rows(
         "02", 5, "and on the amendments")
+    for r in rows:
+        r.aligned_word = ["wir", "stimmen"]
     back = read_table(io.BytesIO(_write(rows)), "vertical")
     assert back == rows
     for seg in ("01", "02"):
@@ -331,13 +333,13 @@ def test_read_shares_segment_constants():
             assert r.doc_id is first.doc_id
             assert r.speaker_id is first.speaker_id
             assert r.word_id.doc_id is first.word_id.doc_id
-    # equal strings are shared, lists stay one per row
-    back[0].aligned_word = ["x"]
-    assert back[1].aligned_word is None
+    # list elements are shared, the lists stay one per row
+    assert back[0].aligned_word[1] is back[-1].aligned_word[1]
+    assert back[0].aligned_word is not back[1].aligned_word
 
 
 def test_read_holds_one_raw_seg_per_segment():
-    # a copy of the 4.5 kB raw_seg per row would hold over 4.5 kB a row
+    # a copy of the 4.7 kB raw_seg per row would hold over 4.7 kB a row
     raw = " ".join(f"word{k}" for k in range(600))
     rows = [r for seg in ("01", "02") for r in _segment_rows(seg, 100, raw)]
     table = io.BytesIO(_write(rows))
@@ -356,9 +358,10 @@ _HEAD = "SI_DE_EN_030-01"
 
 @pytest.mark.parametrize("bad", [
     f"{_HEAD}:0a3", f"{_HEAD}:", f"{_HEAD}:003:x", f"{_HEAD}:003:1:2",
-    "SI_DE_en_030-01:003", f"{_HEAD}:\u0663", f"{_HEAD}:003:\u0663", _HEAD,
-], ids=["letter", "empty-word", "bad-sub", "extra-part", "bad-head", "arabic-word",
-        "arabic-sub", "no-word"])
+    "SI_DE_en_030-01:003", "SI_DE_EN_03x-01:003", f"{_HEAD}:\u0663",
+    f"{_HEAD}:003:\u0663", _HEAD,
+], ids=["letter", "empty-word", "bad-sub", "extra-part", "bad-head", "bad-doc-seg",
+        "arabic-word", "arabic-sub", "no-word"])
 def test_read_id_matches_full_parse(bad):
     rows = _segment_rows("01", 3, "we vote")
     lines = gzip.decompress(_write(rows)).decode().split("\n")
