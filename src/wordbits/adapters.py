@@ -102,20 +102,16 @@ _BAD_RECORD = (RuntimeError, LookupError, TypeError, ValueError, ArithmeticError
                AttributeError)
 
 
-def load_replay(path, adapter=None) -> tuple[dict, dict]:
+def load_replay(path, adapter) -> tuple[dict, dict]:
     """Read a replay file into its meta dict and a table from request key to
     value.
 
-    With an adapter, ``adapter._accept(meta)`` checks the meta line before
-    any record is read, each record is stored as
-    ``adapter._decode(request, response)``, and ``adapter._same`` compares
-    the values of two records for one request.  Without one, the parsed
-    response is stored.  A record that does not parse or decode, or that
-    repeats a request with a different value, raises AdapterError naming
-    its line.
+    ``adapter._accept(meta)`` checks the meta line before any record is
+    read, each record is stored as ``adapter._decode(request, response)``,
+    and ``adapter._same`` compares the values of two records for one
+    request.  A record that does not parse or decode, or that repeats a
+    request with a different value, raises AdapterError naming its line.
     """
-    decode = adapter._decode if adapter is not None else (lambda request, response: response)
-    same = adapter._same if adapter is not None else eq
     with open(path, encoding="utf-8") as f:
         first = f.readline()
         if not first:
@@ -124,8 +120,7 @@ def load_replay(path, adapter=None) -> tuple[dict, dict]:
             meta = json.loads(first).get("meta", {})
         except (ValueError, AttributeError) as exc:
             raise AdapterError(f"{path}:1: bad replay meta line: {exc}") from exc
-        if adapter is not None:
-            adapter._accept(meta)
+        adapter._accept(meta)
         table = {}
         first_line = {}
         for lineno, line in enumerate(f, start=2):
@@ -136,13 +131,13 @@ def load_replay(path, adapter=None) -> tuple[dict, dict]:
                 rec = json.loads(line)
                 request = rec["request"]
                 key = request_key(request)
-                value = decode(request, rec["response"])
+                value = adapter._decode(request, rec["response"])
             except _BAD_RECORD as exc:
                 raise AdapterError(f"{path}:{lineno}: bad replay record: {exc}") from exc
             if key not in table:
                 table[key] = value
                 first_line[key] = lineno
-            elif not same(table[key], value):
+            elif not adapter._same(table[key], value):
                 raise AdapterError(
                     f"{path}:{lineno}: response for request {key} differs from "
                     f"the one on line {first_line[key]}")

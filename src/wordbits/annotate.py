@@ -198,15 +198,17 @@ def _surface_rows(sentences):
     return out
 
 
-def _map_to_ws_tokens(surfaces, ws_tokens, raw_seg):
-    """Assign each parsed surface form the index of the whitespace token its
-    first character falls in.  The parser must not invent or drop characters;
-    anything else raises AdapterError."""
+def _place_forms(forms, ws_tokens, raw_seg):
+    """Place each parsed form in " ".join(ws_tokens): its owner, the index of
+    the whitespace token its first character falls in, and its (start, end)
+    span there.  The forms must spell the tokens' characters in order,
+    spaces aside; the parser must not invent or drop characters, anything
+    else raises AdapterError."""
     target = "".join(ws_tokens)
     starts = list(accumulate((len(t) for t in ws_tokens[:-1]), initial=0))
     cursor = 0
-    owners = []
-    for form in surfaces:
+    owners, spans = [], []
+    for form in forms:
         key = form.replace(" ", "")
         if target[cursor:cursor + len(key)] != key:
             raise AdapterError(
@@ -214,11 +216,16 @@ def _map_to_ws_tokens(surfaces, ws_tokens, raw_seg):
                 f"{cursor} ({raw_seg[:60]!r}...)")
         if cursor >= len(target):
             raise AdapterError(f"parsed token {form!r} lies past the segment text")
-        owners.append(bisect_right(starts, cursor) - 1)
-        cursor += len(key)
+        owner = bisect_right(starts, cursor) - 1
+        end = cursor + len(key)
+        # token k's characters sit k spaces further on in the joined text
+        last = bisect_right(starts, end - 1) - 1 if key else owner
+        owners.append(owner)
+        spans.append((cursor + owner, end + last))
+        cursor = end
     if cursor != len(target):
         raise AdapterError("parse did not cover the full segment text")
-    return owners
+    return owners, spans
 
 
 def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
@@ -244,14 +251,14 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         else:
             sentences = []
         surfaces = _surface_rows(sentences)
-        owners = _map_to_ws_tokens([s.form for _, s, _ in surfaces],
-                                   scored_tokens, clean_text)
+        owners, spans = _place_forms([s.form for _, s, _ in surfaces],
+                                     scored_tokens, clean_text)
         parsed = True
     except Exception as exc:
         log.warning("parser %s failed on %r: %s; keeping token-only rows",
                     getattr(adapter, "name", adapter), clean_text[:60], exc)
         surfaces = [(0, ConlluToken("0", tok), []) for tok in scored_tokens]
-        owners = list(range(len(scored_tokens)))
+        owners, spans = _place_forms(scored_tokens, scored_tokens, clean_text)
         parsed = False
 
     # owners index scored_tokens; translate to positions among all ws tokens
@@ -269,8 +276,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         seg.word_rows.append(row)
 
     last_sent = None
-    cursor = 0
-    for (si, tok, expansions), owner in zip(surfaces, owners):
+    for (si, tok, expansions), owner, span in zip(surfaces, owners, spans):
         # an FP row goes before the first parsed token at or past it
         while pending_fps and pending_fps[-1] < owner:
             add_fp()
@@ -278,13 +284,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         if si != last_sent:
             seg.sentence_boundaries.append(ordinal)
             last_sent = si
-        try:
-            start = text.index(tok.form, cursor)
-        except ValueError:
-            log.warning("could not place %r in %r, span dropped", tok.form, text[:60])
-        else:
-            cursor = start + len(tok.form)
-            seg.spans[ordinal] = (start, cursor)
+        seg.spans[ordinal] = span
         surface = WordRow(
             word_id=ids.with_word(f"{ordinal + 1:03d}"),
             id=None if not parsed else (None if expansions else int(tok.id)),

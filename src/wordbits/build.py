@@ -139,6 +139,8 @@ def make_splits(written, spoken_sizes: dict, seed: int) -> SplitResult:
     larger direction subsampled (whole documents, seeded shuffle) to the
     smaller one's segment count.
     """
+    if not written:
+        raise ValueError("no written documents are left to split")
     by_dir = {}
     for doc in written:
         by_dir.setdefault(doc.lpair, []).append(doc)

@@ -32,7 +32,7 @@ class ItemIdError(ValueError):
         self.component = component
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ItemId:
     ttype: str
     mode: str

@@ -2,13 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from wordbits.ids import ItemId
 from wordbits.transcripts import FP_FORMS
 
 
-@dataclass
+@dataclass(slots=True)
 class WordRow:
     """One row of the vertical (word-level) format.
 
@@ -43,7 +43,6 @@ class WordRow:
     ttype: str | None = None
     speaker_id: str | None = None
     raw_seg: str | None = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def is_fp(self) -> bool:
@@ -70,7 +69,7 @@ class WordRow:
                 raise ValueError(f"{name}={v!r} on {self.word_id} is not a finite non-negative value")
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentRecord:
     """One row of the long (segment-level, one side) format."""
 
@@ -91,10 +90,9 @@ class SegmentRecord:
     raw_seg: str | None = None
     tokens: list[str] | None = None
     wc_tok: int | None = None
-    extra: dict = field(default_factory=dict)
 
 
-@dataclass
+@dataclass(slots=True)
 class SegmentPairRecord:
     """One row of the wide (segment-pair) format."""
 
@@ -112,7 +110,6 @@ class SegmentPairRecord:
     ft_mt_avs_subw: float | None = None
     base_bleu: float | None = None
     ft_bleu: float | None = None
-    extra: dict = field(default_factory=dict)
 
 
 @dataclass

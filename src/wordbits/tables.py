@@ -11,12 +11,14 @@ Cells are UTF-8, tab separated, no quoting; "NA" is the sole null marker (an
 empty cell is the empty string, not null).  List cells are ", "-joined,
 except the space-joined tokens column.  Writers emit optional "#"-prefixed
 provenance lines before the header; readers skip them, match columns by name
-and keep unknown columns as strings.  Gzip members are written with mtime=0
-so identical content yields identical bytes.
+and ignore unknown columns.  Gzip members are written with mtime=0 so
+identical content yields identical bytes.
 
-A read keeps one string object per distinct string value and parses each id
-head once: the columns that are constant within a segment side (raw_seg
-above all) then cost one copy per segment, not one per row.
+The record types are slotted dataclasses: a record holds exactly its
+columns, and assigning any other attribute raises AttributeError.  A read
+keeps one string object per distinct string value and parses each id head
+once: the columns that are constant within a segment side (raw_seg above
+all) then cost one copy per segment, not one per row.
 """
 
 from __future__ import annotations
@@ -99,15 +101,11 @@ _TOKENS = _list_codec(" ", " ", "space inside token")
 
 
 def column_plan(rec_type) -> list[tuple]:
-    """(column, attribute, serialize, reader) per field of rec_type but extra,
-    in field order; raises TableError for a field whose annotation has no
-    codec, or when extra is not the last field (reads build records
-    positionally)."""
+    """(column, attribute, serialize, reader) per field of rec_type, in field
+    order; raises TableError for a field whose annotation has no codec."""
     hints = get_type_hints(rec_type)
-    if [f.name for f in fields(rec_type)][-1:] != ["extra"]:
-        raise TableError(f"{rec_type.__name__}: extra must be the last field")
     plan = []
-    for f in fields(rec_type)[:-1]:
+    for f in fields(rec_type):
         hint = hints[f.name]
         if get_origin(hint) in (Union, UnionType):  # drop "| None"
             hint = Union[tuple(a for a in get_args(hint) if a is not type(None))]
@@ -150,9 +148,15 @@ class GzipTextWriter(io.TextIOWrapper):
 
 def write_tsv(sink, header, rows, provenance: dict | None = None) -> None:
     """Sorted "# key=value" provenance lines, the header, then one line per
-    row of already serialized cells, as gzip TSV to a path or binary stream."""
+    row of already serialized cells, as gzip TSV to a path or binary stream.
+    A provenance key or value with a line break raises TableError before the
+    sink is opened, since it would split its "#" line."""
+    provenance = provenance or {}
+    for key, value in provenance.items():
+        if any(c in f"{key}={value}" for c in "\n\r"):
+            raise TableError(f"provenance entry {key!r} contains a line break")
     with GzipTextWriter(sink) as out:
-        for key in sorted(provenance or {}):
+        for key in sorted(provenance):
             out.write(f"# {key}={provenance[key]}\n")
         out.write("\t".join(header) + "\n")
         for cells in rows:
@@ -175,8 +179,6 @@ def write_table(rows: Iterable, format: str, sink, provenance: dict | None = Non
             raise TableError(
                 f"format {format!r} expects {rec_type.__name__} rows, got {type(r).__name__}")
 
-    extra_cols = sorted({k for r in rows for k in r.extra})
-    # attrgetter, not vars(): a row's __dict__, once asked for, stays built
     values_of = attrgetter(*(attr for _, attr, _, _ in plan))
 
     def cells():
@@ -185,14 +187,11 @@ def write_table(rows: Iterable, format: str, sink, provenance: dict | None = Non
             try:
                 for (column, _, serialize, _), v in zip(plan, values_of(r)):
                     row.append("NA" if v is None else serialize(v))
-                for column in extra_cols:
-                    v = r.extra.get(column)
-                    row.append("NA" if v is None else _text(v))
             except (AttributeError, TypeError, ValueError) as exc:
                 raise TableError(f"row {idx}: column {column!r}: {exc}") from exc
             yield row
 
-    write_tsv(sink, SCHEMA[format] + extra_cols, cells(), provenance)
+    write_tsv(sink, SCHEMA[format], cells(), provenance)
 
 
 def read_table(source, format: str) -> list:
@@ -220,7 +219,6 @@ def read_table(source, format: str) -> list:
         pos = {c: header.index(c) for c in header}
         keep = _Strings().__getitem__
         fields_at = [(column, pos[column], reader(keep)) for column, _, _, reader in plan]
-        extras_at = [(c, pos[c]) for c in header if c not in columns]
 
         rows = []
         for idx, line in enumerate(f):
@@ -236,6 +234,5 @@ def read_table(source, format: str) -> list:
             except (TypeError, ValueError) as exc:
                 raise TableError(f"row {idx} (line {first_line + idx}): column "
                                  f"{column!r}: cannot parse {cell!r}: {exc}") from exc
-            extra = {c: None if cells[i] == "NA" else keep(cells[i]) for c, i in extras_at}
-            rows.append(rec_type(*values, extra=extra))
+            rows.append(rec_type(*values))
         return rows

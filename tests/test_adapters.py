@@ -18,7 +18,6 @@ from wordbits.adapters import (
     SubwordScore,
     detokenize_pieces,
     is_punct_text,
-    load_replay,
     mock_pieces,
     write_replay,
 )
@@ -113,14 +112,14 @@ def test_empty_replay_file_rejected(tmp_path):
     p = tmp_path / "empty.jsonl"
     p.write_text("")
     with pytest.raises(AdapterError, match="empty"):
-        load_replay(p)
+        ReplayCausalLM(p)
 
 
 def test_corrupt_record_rejected(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"meta": {"kind": "causal_lm"}}\nnot json\n')
     with pytest.raises(AdapterError, match="bad replay record"):
-        load_replay(p)
+        ReplayCausalLM(p)
 
 
 @pytest.mark.parametrize("first_line", ["not json", "[1]"])
@@ -128,7 +127,7 @@ def test_corrupt_meta_line_names_file(tmp_path, first_line):
     p = tmp_path / "bad.jsonl"
     p.write_text(first_line + "\n")
     with pytest.raises(AdapterError, match=re.escape(f"{p}:1: bad replay meta line")):
-        load_replay(p)
+        ReplayCausalLM(p)
 
 
 def test_unicode_survives_replay(tmp_path):

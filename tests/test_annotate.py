@@ -1,4 +1,5 @@
 import logging
+import random
 
 import pytest
 
@@ -7,7 +8,7 @@ from wordbits.annotate import (
     ConlluToken,
     MockParser,
     ReplayParser,
-    _map_to_ws_tokens,
+    _place_forms,
     annotate_segment,
     validate_sentence_tree,
 )
@@ -217,11 +218,62 @@ def test_validate_sentence_tree_problems():
     assert any("non-contiguous" in p for p in validate_sentence_tree(gap))
 
 
-def test_map_to_ws_tokens_owner_holds_first_character():
+def test_place_forms_owner_holds_first_character():
     ws = ["It's", "all", "well-intended."]
     forms = ["It", "'s", "all", "well", "-", "intended", "."]
-    assert _map_to_ws_tokens(forms, ws, " ".join(ws)) == [0, 0, 1, 2, 2, 2, 2]
+    assert _place_forms(forms, ws, " ".join(ws)) == (
+        [0, 0, 1, 2, 2, 2, 2],
+        [(0, 2), (2, 4), (5, 8), (9, 13), (13, 14), (14, 22), (22, 23)])
     # a form that spans a space belongs to the token its first character is in
-    assert _map_to_ws_tokens(["a b", "c"], ["a", "bc"], "a bc") == [0, 1]
+    assert _place_forms(["a b", "c"], ["a", "bc"], "a bc") == ([0, 1], [(0, 3), (3, 4)])
     with pytest.raises(AdapterError):
-        _map_to_ws_tokens(["ab", ""], ["ab"], "ab")
+        _place_forms(["ab", ""], ["ab"], "ab")
+
+
+class _FormsParser:
+    """Returns fixed forms as one flat sentence, whatever the text."""
+
+    name = "forms"
+
+    def __init__(self, forms):
+        self.forms = forms
+
+    def annotate(self, text, lang):
+        return [[ConlluToken(str(k), form, head=0 if k == 1 else 1)
+                 for k, form in enumerate(self.forms, start=1)]]
+
+
+def test_respaced_forms_keep_their_own_spans(caplog):
+    # "20000" occurs again later in the text; each form keeps its own place
+    with caplog.at_level(logging.WARNING, logger="wordbits.annotate"):
+        seg = annotate_segment("20 000 and 20000", [], "EN", SEG_IDS,
+                               _FormsParser(["20000", "and", "20000"]))
+    assert seg.parsed is True
+    assert seg.spans == {0: (0, 6), 1: (7, 10), 2: (11, 16)}
+    assert not caplog.records
+
+
+def _index_placement(forms, text):
+    """Each form's span found by searching text from the previous form's end."""
+    spans, cursor = [], 0
+    for form in forms:
+        start = text.index(form, cursor)
+        cursor = start + len(form)
+        spans.append((start, cursor))
+    return spans
+
+
+def test_place_forms_matches_search_when_spacing_is_kept():
+    rng = random.Random(14)
+    for _ in range(300):
+        tokens = ["".join(rng.choice("ab.'") for _ in range(rng.randint(1, 5)))
+                  for _ in range(rng.randint(1, 8))]
+        text = " ".join(tokens)
+        # cut the text at random points and strip the spaces off each
+        # piece: a form may hold a space, or end where a token does
+        cuts = sorted({0, len(text)} | {k for k in range(1, len(text))
+                                        if rng.random() < 0.3})
+        forms = [f for a, b in zip(cuts, cuts[1:]) if (f := text[a:b].strip(" "))]
+        owners, spans = _place_forms(forms, tokens, text)
+        assert spans == _index_placement(forms, text)
+        assert owners == [text[:a].count(" ") for a, _ in spans]

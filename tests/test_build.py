@@ -145,6 +145,11 @@ def test_make_splits_needs_enough_documents():
         make_splits(written, {"de-en": 500}, seed=0)
 
 
+def test_make_splits_names_an_empty_corpus():
+    with pytest.raises(ValueError, match="no written documents"):
+        make_splits([], {}, seed=1)
+
+
 def test_describe_counts_and_percentages():
     segs = [
         ParallelSegment("00", src_raw="ein zwei drei", tgt_raw="one two",
