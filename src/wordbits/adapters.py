@@ -287,8 +287,6 @@ class _MockScorer:
     the preceding pieces (and, for MT, the source), so prefix scoring equals
     the prefix of full scoring."""
 
-    log_base = "2"
-
     def __init__(self, seed: int = 0, chunk: int = 4):
         self.seed = seed
         self.chunk = chunk

@@ -234,14 +234,17 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
 
     clean_text is the normalized segment with FPs still present at the
     whitespace-token indices in fp_positions; ids is an ItemId prefix with
-    doc and seg set.  Surprisal and alignment columns are filled later.
+    doc and seg set.  Surprisal and alignment columns are filled later.  A
+    position not at an FP form is dropped with a warning: its token is a word.
     """
     ws_tokens = clean_text.split()
-    fp_set = set(fp_positions or [])
-    for p in fp_set:
-        if not (0 <= p < len(ws_tokens) and ws_tokens[p].casefold() in FP_FORMS):
-            raise ValueError(f"fp position {p} does not point at an FP in "
-                             f"{clean_text[:60]!r}")
+    positions = sorted(set(fp_positions or []))
+    fp_set = {p for p in positions
+              if 0 <= p < len(ws_tokens) and ws_tokens[p].casefold() in FP_FORMS}
+    dropped = [p for p in positions if p not in fp_set]
+    if dropped:
+        log.warning("%s: fp positions %s do not point at an FP; dropped",
+                    ids.render(), dropped)
     scored_tokens = [t for i, t in enumerate(ws_tokens) if i not in fp_set]
     text = " ".join(scored_tokens)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import logging
 import random
 import statistics
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .config import target_ttype
 
@@ -31,7 +31,6 @@ class DocumentPair:
     mode: str = None  # "sp" or "wr"
     src_ttype: str = "ORG"
     tgt_ttype: str = None
-    extra: dict = field(default_factory=dict)
 
     @property
     def n_segments(self) -> int:

@@ -32,7 +32,6 @@ def _add_common(p):
     p.add_argument("--window", type=int)
     p.add_argument("--cap", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
     p.add_argument("--align-threshold", dest="align_threshold", type=float)
     p.add_argument("--replay", help="JSON manifest mapping adapter role to replay file")
     for role in pipeline.ROLES:
@@ -270,44 +269,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("normalize", help="raw parallel TSV -> clean segments")
-    _add_common(p)
-    p.set_defaults(func=cmd_normalize)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        _add_common(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("annotate", help="clean segments -> vertical word rows")
-    _add_common(p)
-    p.set_defaults(func=cmd_annotate)
-
-    p = sub.add_parser("aggregate", help="vertical rows -> long/wide tables")
-    _add_common(p)
+    command("normalize", cmd_normalize, "raw parallel TSV -> clean segments")
+    command("annotate", cmd_annotate, "clean segments -> vertical word rows")
+    p = command("aggregate", cmd_aggregate, "vertical rows -> long/wide tables")
     p.add_argument("--sidecar", help="sidecar JSONL from the annotate stage")
-    p.set_defaults(func=cmd_aggregate)
-
-    p = sub.add_parser("build", help="filter documents and cut train/test splits")
-    _add_common(p)
+    p = command("build", cmd_build, "filter documents and cut train/test splits")
     p.add_argument("--spoken", help="spoken documents JSONL for overlap removal")
-    p.set_defaults(func=cmd_build)
+    command("stats", cmd_stats, "corpus description table")
 
-    p = sub.add_parser("stats", help="corpus description table")
-    _add_common(p)
-    p.set_defaults(func=cmd_stats)
-
-    p = sub.add_parser("fp-analyze", help="mixed logistic FP model")
-    _add_common(p)
+    p = command("fp-analyze", cmd_fp_analyze, "mixed logistic FP model")
     p.add_argument("--variant", choices=("base", "ft"), default="base")
     p.add_argument("--random-intercepts", default="speaker_id",
                    help="comma separated grouping factors, of "
                    f"{', '.join(GROUPING_FIELDS)}; empty for a plain GLM")
-    p.set_defaults(func=cmd_fp_analyze)
 
-    p = sub.add_parser("gam", help="smooth LM-vs-MT surprisal curve")
-    _add_common(p)
+    p = command("gam", cmd_gam, "smooth LM-vs-MT surprisal curve")
     p.add_argument("--wide", required=True, help="wide table with MT columns")
     p.add_argument("--variant", choices=("base", "ft"), default="base")
     p.add_argument("--orientation", choices=("lm_on_mt", "mt_on_lm"),
                    default="lm_on_mt")
     p.add_argument("--grid-points", type=int, default=100)
-    p.set_defaults(func=cmd_gam)
     return parser
 
 

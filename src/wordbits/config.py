@@ -38,7 +38,9 @@ class RunConfig:
     window: int = WINDOW
     cap: int = SUBWORD_CAP
     seed: int = 1
-    workers: int = 0  # 0 = number of processors
+    # Inert: annotation runs on one thread and nothing here reads it.  It stays
+    # for bench/workloads.py, which sets it, and config_hash hashes every field.
+    workers: int = 0
     doc_pad: int = 3
     seg_pad: int = 2
 

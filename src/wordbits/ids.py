@@ -9,7 +9,7 @@ speech is spoken, translation is written) render without the mode component:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable
 
 MODES = ("SP", "WR")
@@ -68,7 +68,9 @@ class ItemId:
         return self.render()
 
     def with_word(self, word_id: str, sub_index: int | None = None) -> "ItemId":
-        return replace(self, word_id=word_id, sub_index=sub_index)
+        # half the time of dataclasses.replace, once per vertical row
+        return ItemId(self.ttype, self.mode, self.src_lang, self.tgt_lang, self.doc_id,
+                      self.seg_id, word_id, sub_index, self.explicit_mode)
 
 
 def parse_item_id(s: str) -> ItemId:

@@ -1,8 +1,8 @@
 """End-to-end corpus pipeline: raw parallel input -> normalized segments ->
 annotated vertical rows -> long/wide aggregates.
 
-Documents are the unit of parallelism; results are merged in doc_id order so
-identical inputs and adapters give byte-identical outputs.
+Annotation runs on the calling thread in doc_id order, so identical inputs
+and adapters give byte-identical outputs and the same warnings in order.
 """
 
 from __future__ import annotations
@@ -10,9 +10,7 @@ from __future__ import annotations
 import gzip
 import json
 import logging
-import os
 from bisect import bisect_right
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import field, make_dataclass
 from functools import partial
 from typing import NamedTuple
@@ -321,25 +319,14 @@ def _align_segment(src_seg, tgt_seg, encoder, cfg: RunConfig):
 
 
 def annotate_corpus(segments, cfg: RunConfig, adapters: AdapterSet):
-    """Document-sharded annotation; deterministic doc_id-ordered merge."""
+    """Annotate each document in doc_id order; returns (word_rows, sidecar)."""
     by_doc = {}
     for seg in segments:
         by_doc.setdefault(seg["doc_id"], []).append(seg)
-    doc_ids = sorted(by_doc)
-    workers = cfg.workers or os.cpu_count() or 1
-    results = {}
-    if workers == 1 or len(doc_ids) <= 1:
-        for d in doc_ids:
-            results[d] = annotate_document(by_doc[d], cfg, adapters)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for d, res in zip(doc_ids, pool.map(
-                    lambda d: annotate_document(by_doc[d], cfg, adapters), doc_ids)):
-                results[d] = res
     rows = []
     sidecar = []
-    for d in doc_ids:
-        r, s = results[d]
+    for d in sorted(by_doc):
+        r, s = annotate_document(by_doc[d], cfg, adapters)
         rows.extend(r)
         sidecar.extend(s)
     return rows, sidecar

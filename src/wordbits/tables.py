@@ -25,6 +25,8 @@ from __future__ import annotations
 
 import gzip
 import io
+import os
+import secrets
 from dataclasses import fields
 from operator import attrgetter
 from types import UnionType
@@ -130,20 +132,36 @@ class GzipTextWriter(io.TextIOWrapper):
     """UTF-8 text over one gzip member with mtime 0 and an empty file name, so
     equal content gives equal bytes wherever and whenever it is written.
 
-    The sink is a path, opened and closed here, or a binary stream, which is
-    left open (GzipFile never closes a stream it was handed)."""
+    The sink is a binary stream, left open (GzipFile never closes a stream it
+    was handed), or a path, written through a temporary file beside it that
+    close renames onto the path, or removes when the with-block raised."""
 
     def __init__(self, sink):
-        self._own = open(sink, "wb") if _is_path(sink) else None
+        self._failed = False
+        self._own = None
+        if _is_path(sink):
+            self._dest = os.fsdecode(sink)
+            self._own = open(f"{self._dest}.{secrets.token_hex(4)}.tmp", "xb")
         gz = gzip.GzipFile(filename="", fileobj=self._own or sink, mode="wb", mtime=0)
         super().__init__(gz, encoding="utf-8", newline="\n")
 
+    def __exit__(self, exc_type, exc, tb):
+        self._failed = exc_type is not None
+        self.close()
+
     def close(self):
+        own, self._own = self._own, None
+        ok = False
         try:
             super().close()
+            ok = not self._failed
         finally:
-            if self._own is not None:
-                self._own.close()
+            if own is not None:
+                own.close()
+                if ok:
+                    os.replace(own.name, self._dest)
+                else:
+                    os.remove(own.name)
 
 
 def write_tsv(sink, header, rows, provenance: dict | None = None) -> None:

@@ -102,12 +102,24 @@ def test_example_spans(parsed_example):
     assert spans[9] == (33, 40)    # there's
 
 
-def test_fp_position_must_point_at_fp():
-    # -1 would index the FP from the end; 3 lies past it
-    for clean, positions in (("hello there", [0]), ("we go euh", [-1]),
-                             ("we go euh", [3])):
-        with pytest.raises(ValueError, match="fp position"):
-            annotate_segment(clean, positions, "EN", SEG_IDS, MockParser())
+def test_fp_position_must_point_at_fp(caplog):
+    """A position out of range or not at an FP form is dropped with one
+    warning naming the segment; its token becomes a word row, and valid
+    positions still give FP rows."""
+    for clean, positions, dropped, fps in (
+            ("hello there", [0], [0], []),
+            ("we go euh", [-1], [-1], []),  # -1 would index the FP from the end
+            ("we go euh", [3], [3], []),  # past the last token
+            ("euh we go", [7, 1, 0], [1, 7], ["euh"])):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="wordbits.annotate"):
+            seg = annotate_segment(clean, positions, "EN", SEG_IDS, MockParser())
+        [record] = caplog.records
+        assert SEG_IDS.render() in record.getMessage()
+        assert str(dropped) in record.getMessage()
+        assert [r.token for r in seg.surface if r.is_fp] == fps
+        assert seg.words == [t for t in clean.split() if t not in fps]
+        assert len(seg.surface) == len(clean.split())
 
 
 class _BrokenParser:

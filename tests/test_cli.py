@@ -49,7 +49,7 @@ def pipeline_run(tmp_path_factory, replay_files, example_input_tsv):
     }), encoding="utf-8")
 
     common = ["--output-dir", str(out), "--direction", "de-en",
-              "--mode", "sp", "--workers", "1"]
+              "--mode", "sp"]
     argv = {
         "normalize": ["normalize", "--input", example_input_tsv] + common,
         "annotate": ["annotate", "--input", str(out / "clean.jsonl.gz"),
@@ -163,7 +163,7 @@ def test_source_lm_replay_flag(pipeline_run, tmp_path, capsys):
     assert main(["annotate", "--input", clean,
                  "--replay", str(pipeline_run["dir"] / "replay.json"),
                  "--replay-src-lm-base", str(src_lm), "--output-dir", str(out),
-                 "--direction", "de-en", "--mode", "sp", "--workers", "1"]) == 0
+                 "--direction", "de-en", "--mode", "sp"]) == 0
     rows = read_table(out / "vertical.tsv.gz", "vertical")
     src = [r for r in rows if r.lang == "DE"]
     assert [r.srp_base_gpt2 for r in src] == [2.0] * len(SRC_TEXT.split())
@@ -191,13 +191,21 @@ def test_unknown_subcommand_exits_nonzero(capsys):
     assert "invalid choice" in capsys.readouterr().err
 
 
+def test_workers_flag_is_gone(capsys):
+    """Annotation runs on one thread; --workers is no longer an option."""
+    with pytest.raises(SystemExit) as exc:
+        main(["annotate", "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, key, value", [
     (["--direction", "en-de"], "lpair", "en-de"),
     (["--cap", "7"], "cap", 7),
     (["--window", "9"], "window", 9),
     (["--align-threshold", "0.2"], "align_threshold", 0.2),
     (["--seed", "11"], "seed", 11),
-    (["--workers", "3"], "workers", 3),
+    (["--seed", "0"], "seed", 0),  # a zero value still overrides
     (["--scoring", "window"], "scoring", "window"),
     (["--mode", "wr"], "mode", "wr"),
     (["--input", "in.tsv"], "input", "in.tsv"),

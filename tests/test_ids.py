@@ -64,4 +64,8 @@ def test_with_word():
     seg = ItemId("SI", "SP", "DE", "EN", "030", "21", explicit_mode=False)
     w = seg.with_word("007")
     assert w.word_id == "007"
-
+    assert seg.with_word("007", 2) == ItemId("SI", "SP", "DE", "EN", "030", "21",
+                                             "007", 2, explicit_mode=False)
+    with pytest.raises(ItemIdError) as exc:
+        seg.with_word(None, 1)
+    assert exc.value.component == "sub_index"

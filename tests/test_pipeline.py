@@ -1,8 +1,10 @@
 """Corpus pipeline on the worked example: one failure policy for every
 adapter role, and the segment aggregates."""
 
+import copy
 import logging
 import random
+import threading
 
 import pytest
 
@@ -198,3 +200,89 @@ def test_comma_nulled_alignments_warn_once_per_side(caplog):
         "comma inside aligned surface, 1 alignments nulled, first for ORG_SP_DE_EN_001-01:001",
         "comma inside aligned surface, 2 alignments nulled, first for SI_SP_DE_EN_001-01:001",
     ]
+
+
+def _mock_corpus(tmp_path):
+    """Three documents of two spoken segments each, listed out of doc_id
+    order, with mock adapters for every role."""
+    lines = ["doc_id\tseg_id\tsrc_speaker_id\ttgt_speaker_id\tsrc_raw\ttgt_raw"]
+    for doc in ("2", "1", "3"):
+        for seg in ("1", "2"):
+            lines.append(f"{doc}\t{seg}\tfDE1\tfEN3\twir gehen {doc} mal {seg}"
+                         f"\tuh we go {doc} times {seg}")
+    p = tmp_path / "input.tsv"
+    p.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    cfg = RunConfig(lpair="de-en", mode="sp")
+    segments = pipeline.normalize_rows(pipeline.read_input_tsv(str(p)), cfg)
+    return segments, cfg, pipeline.adapters_from_config(cfg, mock_fallback=True)
+
+
+class _ThreadRecorder:
+    """Forwards to an adapter and notes the thread of every method call."""
+
+    def __init__(self, inner, threads):
+        self.inner = inner
+        self.threads = threads
+
+    def __getattr__(self, attr):
+        value = getattr(self.inner, attr)
+        if not callable(value):
+            return value
+
+        def call(*args, **kwargs):
+            self.threads.add(threading.get_ident())
+            return value(*args, **kwargs)
+        return call
+
+
+def test_every_adapter_call_runs_on_the_calling_thread(tmp_path):
+    segments, cfg, adapters = _mock_corpus(tmp_path)
+    threads = set()
+    for role in pipeline.ROLES:
+        adapter = getattr(adapters, role)
+        setattr(adapters, role, _ThreadRecorder(adapter, threads))
+    rows, _sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    assert len({r.doc_id for r in rows}) == 3
+    assert threads == {threading.get_ident()}
+
+
+def test_parser_failure_warnings_follow_doc_and_segment_order(tmp_path, caplog):
+    segments, cfg, adapters = _mock_corpus(tmp_path)
+    adapters.parser = Raising(adapters.parser, "annotate")
+    logged = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="wordbits"):
+            pipeline.annotate_corpus(segments, cfg, adapters)
+        logged.append([r.getMessage() for r in caplog.records])
+    assert logged[0] == logged[1]
+    in_order = sorted(segments, key=lambda seg: seg["doc_id"])  # stable
+    texts = [seg["sides"][side]["clean"] for seg in in_order for side in ("src", "tgt")]
+    assert len(logged[0]) == len(texts) == 12
+    for message, text in zip(logged[0], texts):
+        assert message.startswith(f"parser mock-parser failed on {text!r}")
+
+
+def test_bad_fp_position_fails_only_its_side(tmp_path, caplog):
+    segments, cfg, adapters = _mock_corpus(tmp_path)
+    clean_rows, _ = pipeline.annotate_corpus(segments, cfg, adapters)
+    bad = copy.deepcopy(segments)
+    bad[0]["sides"]["src"]["fp_positions"] = [5]  # doc 2, "wir gehen 2 mal 1"
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        rows, _ = pipeline.annotate_corpus(bad, cfg, adapters)
+    [warning] = caplog.records
+    assert "ORG_SP_DE_EN_002-01: fp positions [5]" in warning.getMessage()
+    assert [r for r in rows if r.doc_id != "002"] == \
+        [r for r in clean_rows if r.doc_id != "002"]
+    assert [r for r in rows if r.doc_id == "002"] == \
+        [r for r in clean_rows if r.doc_id == "002"]
+
+
+def test_failed_jsonl_write_leaves_destination_unchanged(tmp_path):
+    p = tmp_path / "clean.jsonl.gz"
+    pipeline.write_jsonl(p, [{"a": 1}], meta={"command": "normalize"})
+    before = p.read_bytes()
+    with pytest.raises(TypeError):
+        pipeline.write_jsonl(p, [{"a": 2}, {"b": object()}])
+    assert p.read_bytes() == before
+    assert [f.name for f in tmp_path.iterdir()] == ["clean.jsonl.gz"]

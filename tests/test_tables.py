@@ -305,6 +305,19 @@ def test_unconvertible_value_names_row_and_column(attr, value, column):
         write_table([good, bad], "long", io.BytesIO())
 
 
+def test_failed_write_leaves_destination_unchanged(tmp_path):
+    p = tmp_path / "long.tsv.gz"
+    good = [SegmentRecord("1", "2", wc_tok=3)]
+    write_table(good, "long", p, provenance={"a": "1"})
+    before = p.read_bytes()
+    bad = [SegmentRecord("1", "2"), SegmentRecord("1", "3", wc_tok="x")]
+    with pytest.raises(TableError, match="^row 1: "):
+        write_table(bad, "long", p)
+    assert p.read_bytes() == before
+    assert read_table(p, "long") == good
+    assert [f.name for f in tmp_path.iterdir()] == ["long.tsv.gz"]
+
+
 @dataclass
 class _FlagRecord:
     doc_id: str
