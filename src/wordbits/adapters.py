@@ -24,15 +24,27 @@ Responses:
   parser           [[{conllu token fields}, ...], ...]   (one list per sentence)
 
 Adapters may emit natural-log probabilities.  A replay adapter decodes each
-record once, while it loads the file, into the value its lookups return:
-scores become base-2 ``SubwordScore``s, argmax predictions
-``PredictedPiece``s, parses ``ConlluToken``s, and an encoder response one
-read-only float64 array of its vectors (about 8 bytes per vector float in
-memory).  These values are immutable and shared between calls; each lookup
-returns a fresh list of them.  A record that is not valid JSON or does not
-decode, or that repeats a request with a different response, fails the
-load with its file and line.  Subword surfaces are marker-free;
-``begins_word`` carries the beginning-of-word information.
+record once, while it loads the file, into columns of immutable atoms:
+
+  scores   a ``SubwordScores``: surfaces as a tuple of interned strings,
+           base-2 log probabilities packed as float64 ``bytes``, and the
+           ``begins_word`` and ``is_punct_unit`` flags as one byte each, so
+           about 18 bytes per subword besides the shared strings;
+  argmax   a tuple of surfaces and ``bytes`` of ``begins_word`` flags;
+  parses   one tuple of CoNLL-U field values per token;
+  encoder  a tuple of surfaces, an int64 array of spans and one read-only
+           float64 array of the vectors (about 8 bytes per vector float).
+
+A score lookup returns the stored ``SubwordScores`` itself: it is shared
+between calls and cannot be changed, and it builds a ``SubwordScore`` only
+for an item indexed or iterated.  Argmax, parse and encoder lookups build
+fresh ``PredictedPiece``s, ``ConlluToken``s and tuples from the columns.
+Apart from one ``SubwordScores`` per score record, nothing a loaded table
+holds stays tracked by the garbage collector: its collections untrack
+tuples of atoms.  A record that is not valid JSON or does not decode, or
+that repeats a request with a different response, fails the load with its
+file and line.  Subword surfaces are marker-free; ``begins_word`` carries
+the beginning-of-word information.
 """
 
 from __future__ import annotations
@@ -42,6 +54,7 @@ import json
 import math
 import re
 import unicodedata
+from array import array
 from operator import eq
 from sys import intern
 from typing import NamedTuple
@@ -63,6 +76,74 @@ class SubwordScore(NamedTuple):
 class PredictedPiece(NamedTuple):
     surface: str
     begins_word: bool = True
+
+
+class SubwordScores:
+    """The subword scores of one text as immutable columns.
+
+    A sequence of ``SubwordScore``s: ``len``, iteration and an int index give
+    ``SubwordScore``s built on demand, and a slice gives another
+    ``SubwordScores``.  Scoring code reads the columns directly:
+    ``surfaces`` (a tuple), ``logprob2`` (a read-only float64 view of packed
+    bytes) and the ``begins_word`` and ``is_punct_unit`` flags (``bytes``
+    of 0 or 1)."""
+
+    __slots__ = ("surfaces", "_logprob2", "begins_word", "is_punct_unit")
+
+    def __init__(self, surfaces, logprob2, begins_word, is_punct_unit):
+        columns = (tuple(surfaces), array("d", logprob2).tobytes(),
+                   bytes(map(bool, begins_word)), bytes(map(bool, is_punct_unit)))
+        if len({len(columns[0]), len(columns[1]) // 8, *map(len, columns[2:])}) != 1:
+            raise ValueError("columns differ in length")
+        for name, value in zip(self.__slots__, columns):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def of(cls, subwords) -> SubwordScores:
+        """subwords itself if it is a SubwordScores, else the columns of its
+        SubwordScore items."""
+        if isinstance(subwords, cls):
+            return subwords
+        return cls(*(tuple(zip(*subwords)) or ((), (), (), ())))
+
+    @property
+    def logprob2(self) -> memoryview:
+        return memoryview(self._logprob2).cast("d")
+
+    def bits(self) -> list[float]:
+        """Per-subword surprisal in bits, -logprob2 floored at 0."""
+        return [max(0.0, -lp) for lp in self.logprob2]
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SubwordScores is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("SubwordScores is immutable")
+
+    def __len__(self) -> int:
+        return len(self.surfaces)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            start, stop, step = index.indices(len(self))
+            if (start, stop, step) == (0, len(self), 1):
+                return self
+            return SubwordScores(self.surfaces[index], self.logprob2[index],
+                                 self.begins_word[index], self.is_punct_unit[index])
+        return SubwordScore(self.surfaces[index], self.logprob2[index],
+                            bool(self.begins_word[index]), bool(self.is_punct_unit[index]))
+
+    def __iter__(self):
+        return map(SubwordScore, self.surfaces, self.logprob2,
+                   map(bool, self.begins_word), map(bool, self.is_punct_unit))
+
+    def __eq__(self, other):
+        if not isinstance(other, SubwordScores):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        return f"SubwordScores({list(self)!r})"
 
 
 def is_punct_text(s: str) -> bool:
@@ -147,7 +228,7 @@ def load_replay(path, adapter) -> tuple[dict, dict]:
 class _ReplayBase:
     """A replay file's records, each decoded once at load by the subclass's
     ``_decode(request, response)`` into the immutable value its lookups
-    return."""
+    read."""
 
     kind = ""
     _same = staticmethod(eq)
@@ -171,24 +252,22 @@ class _ReplayBase:
             raise AdapterError(f"{self.path}: no replay entry for request {key}")
         return self._table[key]
 
-    def _scores(self, response) -> tuple:
+    def _scores(self, response) -> SubwordScores:
         divisor = _BITS_DIVISOR.get(self.log_base)
         if divisor is None:
             raise AdapterError(f"unknown log base {self.log_base!r}")
         units = self._units
-        subs = []
+        surfaces, logprob2, begins, punct = [], [], [], []
         for item in response:
             surface = item["surface"]
             unit = units.get(surface)
             if unit is None:
                 unit = units[surface] = (intern(surface), is_punct_text(surface))
-            subs.append(SubwordScore(
-                unit[0],
-                min(0.0, float(item["logprob"]) / divisor),
-                bool(item.get("begins_word", True)),
-                bool(item.get("is_punct", unit[1])),
-            ))
-        return tuple(subs)
+            surfaces.append(unit[0])
+            logprob2.append(min(0.0, float(item["logprob"]) / divisor))
+            begins.append(item.get("begins_word", True))
+            punct.append(item.get("is_punct", unit[1]))
+        return SubwordScores(surfaces, logprob2, begins, punct)
 
 
 class ReplayCausalLM(_ReplayBase):
@@ -196,11 +275,11 @@ class ReplayCausalLM(_ReplayBase):
 
     kind = "causal_lm"
 
-    def _decode(self, request, response) -> tuple:
+    def _decode(self, request, response) -> SubwordScores:
         return self._scores(response)
 
-    def score(self, text: str) -> list[SubwordScore]:
-        return list(self._lookup({"text": text}))
+    def score(self, text: str) -> SubwordScores:
+        return self._lookup({"text": text})
 
 
 class ReplayMT(_ReplayBase):
@@ -208,18 +287,20 @@ class ReplayMT(_ReplayBase):
 
     kind = "mt"
 
-    def _decode(self, request, response) -> tuple:
+    def _decode(self, request, response):
+        """SubwordScores, or for an argmax record (surfaces, begins_word
+        flags)."""
         if request.get("task") == "argmax":
-            return tuple(PredictedPiece(intern(item["surface"]),
-                                        bool(item.get("begins_word", True)))
-                         for item in response)
+            return (tuple(intern(item["surface"]) for item in response),
+                    bytes(bool(item.get("begins_word", True)) for item in response))
         return self._scores(response)
 
-    def score(self, src: str, tgt: str) -> list[SubwordScore]:
-        return list(self._lookup({"src": src, "tgt": tgt}))
+    def score(self, src: str, tgt: str) -> SubwordScores:
+        return self._lookup({"src": src, "tgt": tgt})
 
     def predict_argmax(self, src: str, tgt: str) -> list[PredictedPiece]:
-        return list(self._lookup({"src": src, "tgt": tgt, "task": "argmax"}))
+        surfaces, begins = self._lookup({"src": src, "tgt": tgt, "task": "argmax"})
+        return list(map(PredictedPiece, surfaces, map(bool, begins)))
 
 
 def _span(span) -> tuple[int, int]:

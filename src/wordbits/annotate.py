@@ -54,6 +54,8 @@ class ReplayParser(_ReplayBase):
     kind = "parser"
 
     def _decode(self, request, response) -> tuple:
+        """One tuple per sentence of one tuple of ConlluToken field values
+        per token."""
         sentences = []
         for sent in response:
             tokens = []
@@ -62,12 +64,13 @@ class ReplayParser(_ReplayBase):
                       for k in _CONLLU_KEYS if (v := rec.get(k)) is not None}
                 if "head" in kw:
                     kw["head"] = int(kw["head"])
-                tokens.append(ConlluToken(**kw))
+                tokens.append(tuple(ConlluToken(**kw)))
             sentences.append(tuple(tokens))
         return tuple(sentences)
 
     def annotate(self, text: str, lang: str):
-        return [list(sent) for sent in self._lookup({"text": text, "lang": lang})]
+        return [list(map(ConlluToken._make, sent))
+                for sent in self._lookup({"text": text, "lang": lang})]
 
 
 class MockParser:

@@ -23,7 +23,7 @@ from .config import RunConfig
 from .ids import IMPLIED_MODE, ItemId
 from .records import SegmentPairRecord, SegmentRecord
 from .standardize import standardize
-from .tables import GzipTextWriter
+from .tables import AtomicTextWriter, GzipTextWriter
 from .transcripts import normalize_segment
 
 log = logging.getLogger(__name__)
@@ -77,9 +77,10 @@ def adapters_from_config(cfg: RunConfig, mock_fallback: bool = False) -> Adapter
 
 
 def open_text(path, mode):
+    """A text file to read, or to write atomically; gzip for a .gz path."""
+    if "w" in mode:
+        return (GzipTextWriter if str(path).endswith(".gz") else AtomicTextWriter)(path)
     if str(path).endswith(".gz"):
-        if "w" in mode:
-            return GzipTextWriter(path)
         return gzip.open(path, "rt", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 

@@ -24,7 +24,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
-from .adapters import SubwordScore, detokenize_pieces, is_punct_text
+from .adapters import SubwordScores, detokenize_pieces, is_punct_text
 
 log = logging.getLogger(__name__)
 
@@ -55,23 +55,25 @@ class Unit:
 
 
 def build_units(subwords) -> list[Unit]:
-    """Pre-aggregate subword scores into word-ish units.
+    """Pre-aggregate subword scores (a SubwordScores, or SubwordScore
+    items) into word-ish units.
 
     A subword starts a new unit when it begins a word, when it is itself
     punctuation, or when the previous subword was punctuation.  Multi-char
     punctuation units therefore only arise from single merged-vocabulary
     subwords such as "%.".
     """
+    subwords = SubwordScores.of(subwords)
     units = []
     prev_punct = False
-    for sw in subwords:
-        bits = max(0.0, -sw.logprob2)
-        if not units or sw.begins_word or sw.is_punct_unit or prev_punct:
-            units.append(Unit(sw.surface, bits))
+    for surface, bits, begins, punct in zip(subwords.surfaces, subwords.bits(),
+                                            subwords.begins_word, subwords.is_punct_unit):
+        if not units or begins or punct or prev_punct:
+            units.append(Unit(surface, bits))
         else:
             u = units[-1]
-            units[-1] = Unit(u.surface + sw.surface, u.bits + bits)
-        prev_punct = sw.is_punct_unit
+            units[-1] = Unit(u.surface + surface, u.bits + bits)
+        prev_punct = punct
     return units
 
 
@@ -221,43 +223,43 @@ def score_segment_bounded(seg, adapter, cap: int = SUBWORD_CAP):
     return _realigned(seg, adapter, lambda: adapter.score(seg.text)[:cap])
 
 
-def _piece_spans(pieces):
-    """detokenize_pieces(pieces), with each piece's start and end offset in
-    that text."""
+def _piece_spans(subs):
+    """detokenize_pieces(subs) of a SubwordScores, with each piece's start
+    and end offset in that text."""
     parts, starts, ends = [], [], []
     pos = 0
-    for i, p in enumerate(pieces):
-        if i and p.begins_word:
+    for i, (surface, begins) in enumerate(zip(subs.surfaces, subs.begins_word)):
+        if i and begins:
             parts.append(" ")
             pos += 1
         starts.append(pos)
-        parts.append(p.surface)
-        pos += len(p.surface)
+        parts.append(surface)
+        pos += len(surface)
         ends.append(pos)
     return "".join(parts), starts, ends
 
 
 def _window_scores(seg, adapter, window):
-    """The rescored subwords of seg.text, or None on retokenization drift."""
-    subs = adapter.score(seg.text)
+    """The rescored SubwordScores of seg.text, or None on retokenization
+    drift.  Only the last subword of each window slice's response is read."""
+    subs = SubwordScores.of(adapter.score(seg.text))
     text, starts, ends = _piece_spans(subs)
-    rescored = list(subs)
+    surfaces = subs.surfaces
+    logprob2 = subs.logprob2.tolist()
     for i in range(window, len(subs)):
         # equals detokenize_pieces(subs[i - window + 1:i + 1]): a slice's
         # first piece takes no leading space
         got = adapter.score(text[starts[i - window + 1]:ends[i]])
         if not got:
             raise ValueError("adapter returned no subwords for window slice")
-        if got[-1].surface != subs[i].surface:
+        last = got[-1]
+        if last.surface != surfaces[i]:
             log.warning("adapter %s window slice ends in %r, not %r; "
                         "segment retained with null bits",
-                        getattr(adapter, "name", adapter),
-                        got[-1].surface, subs[i].surface)
+                        getattr(adapter, "name", adapter), last.surface, surfaces[i])
             return None
-        sw = subs[i]
-        rescored[i] = SubwordScore(sw.surface, got[-1].logprob2,
-                                   sw.begins_word, sw.is_punct_unit)
-    return rescored
+        logprob2[i] = last.logprob2
+    return SubwordScores(surfaces, logprob2, subs.begins_word, subs.is_punct_unit)
 
 
 def score_sliding_window(seg, adapter, window: int = WINDOW):
@@ -291,7 +293,7 @@ def subword_bits(seg, score, cap: int = SUBWORD_CAP):
         subs = score(seg.text)
     except Exception:
         return []
-    return [max(0.0, -sw.logprob2) for sw in subs[:cap]]
+    return SubwordScores.of(subs[:cap]).bits()
 
 
 def _ngrams(tokens, n):

@@ -128,22 +128,23 @@ def _is_path(sink) -> bool:
     return isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
 
 
-class GzipTextWriter(io.TextIOWrapper):
-    """UTF-8 text over one gzip member with mtime 0 and an empty file name, so
-    equal content gives equal bytes wherever and whenever it is written.
-
-    The sink is a binary stream, left open (GzipFile never closes a stream it
-    was handed), or a path, written through a temporary file beside it that
-    close renames onto the path, or removes when the with-block raised."""
+class AtomicTextWriter(io.TextIOWrapper):
+    """UTF-8 text to a path, written through a temporary file beside it that
+    close renames onto the path, or removes when the with-block raised, so a
+    failed write leaves the file that was there.  A binary stream sink is
+    written directly, and closed with the writer."""
 
     def __init__(self, sink):
         self._failed = False
         self._own = None
         if _is_path(sink):
             self._dest = os.fsdecode(sink)
-            self._own = open(f"{self._dest}.{secrets.token_hex(4)}.tmp", "xb")
-        gz = gzip.GzipFile(filename="", fileobj=self._own or sink, mode="wb", mtime=0)
-        super().__init__(gz, encoding="utf-8", newline="\n")
+            sink = self._own = open(f"{self._dest}.{secrets.token_hex(4)}.tmp", "xb")
+        super().__init__(self._encoded(sink), encoding="utf-8", newline="\n")
+
+    def _encoded(self, raw):
+        """The binary stream over raw that the text is written to."""
+        return raw
 
     def __exit__(self, exc_type, exc, tb):
         self._failed = exc_type is not None
@@ -162,6 +163,20 @@ class GzipTextWriter(io.TextIOWrapper):
                     os.replace(own.name, self._dest)
                 else:
                     os.remove(own.name)
+
+
+class GzipTextWriter(AtomicTextWriter):
+    """UTF-8 text over one gzip member with mtime 0 and an empty file name, so
+    equal content gives equal bytes wherever and whenever it is written.
+
+    The sink is a binary stream, left open (GzipFile never closes a stream it
+    was handed), or a path, written atomically as by AtomicTextWriter."""
+
+    def _encoded(self, raw):
+        # level 6, not GzipFile's default 9: on the seed-1 benchmark verticals
+        # it compressed in 0.57 of the time, into files 1.3-1.4% larger
+        return gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0,
+                             compresslevel=6)
 
 
 def write_tsv(sink, header, rows, provenance: dict | None = None) -> None:

@@ -1,5 +1,7 @@
+import gc
 import json
 import math
+import random
 import re
 import tracemalloc
 
@@ -16,6 +18,7 @@ from wordbits.adapters import (
     ReplayEncoder,
     ReplayMT,
     SubwordScore,
+    SubwordScores,
     detokenize_pieces,
     is_punct_text,
     mock_pieces,
@@ -273,16 +276,23 @@ def test_records_decode_once_into_shared_values(tmp_path):
                [({"text": "x"}, [{"surface": "x", "logprob": -math.log(2)}])])
     lm = ReplayCausalLM(p)
     first = lm.score("x")
-    assert first[0] is lm.score("x")[0]
-    first.append("junk")
-    first[0] = None
-    assert lm.score("x") == [SubwordScore("x", pytest.approx(-1.0, abs=1e-12), True, False)]
+    assert type(first) is SubwordScores and first is lm.score("x")
+    with pytest.raises(TypeError):
+        first[0] = None
+    with pytest.raises(TypeError):
+        first.logprob2[0] = 0.0
+    with pytest.raises(AttributeError):
+        first.surfaces = ("junk",)
+    with pytest.raises(AttributeError):
+        del first.begins_word
+    assert list(lm.score("x")) == [SubwordScore("x", pytest.approx(-1.0, abs=1e-12), True, False)]
 
 
 @pytest.mark.parametrize("value, field", [
     (SubwordScore("a", -1.0), "logprob2"),
     (PredictedPiece("a"), "surface"),
     (ConlluToken("1", "a"), "head"),
+    (SubwordScores(["a"], [-1.0], [True], [False]), "surfaces"),
 ])
 def test_returned_values_are_immutable(value, field):
     with pytest.raises(AttributeError):
@@ -290,12 +300,15 @@ def test_returned_values_are_immutable(value, field):
 
 
 def test_mt_lists_are_fresh_per_call(tmp_path):
+    # scores are one shared immutable value; argmax lists are built per call
     p = _write(tmp_path / "mt.jsonl", {"kind": "mt"}, [
         ({"src": "a", "tgt": "b"}, [{"surface": "b", "logprob": -2}]),
         ({"src": "a", "tgt": "b", "task": "argmax"}, [{"surface": "b"}]),
     ])
     mt = ReplayMT(p)
-    mt.score("a", "b").clear()
+    scores = mt.score("a", "b")
+    assert scores is mt.score("a", "b")
+    assert not hasattr(scores, "clear")
     mt.predict_argmax("a", "b").clear()
     assert [s.surface for s in mt.score("a", "b")] == ["b"]
     assert mt.predict_argmax("a", "b") == [PredictedPiece("b", True)]
@@ -324,10 +337,53 @@ def test_encoder_vectors_read_only_float64(tmp_path):
 def test_parser_lists_are_fresh_per_call(tmp_path):
     p = _write(tmp_path / "parse.jsonl", _PARSE, [_GOOD_PARSE])
     parser = ReplayParser(p)
+    # decoded once, into tuples of field values
+    [stored] = parser._table.values()
+    assert stored == ((("1", "a", None, None, None, None, 0, None, None, None),),)
+    assert type(stored[0][0]) is tuple
     first = parser.annotate("a", "EN")
     first[0].append(ConlluToken("2", "junk"))
     first.append([])
     assert parser.annotate("a", "EN") == [[ConlluToken("1", "a", head=0)]]
+
+
+def _lm_response(rng):
+    return [{"surface": rng.choice(["a", "bc", ".", "%."]), "logprob": -rng.random() * 9,
+             "begins_word": rng.random() < 0.5}
+            for _ in range(rng.randint(0, 12))]
+
+
+def _parse_response(rng):
+    return [[{"id": str(k), "form": rng.choice(["a", "bc", "."]), "lemma": "a",
+              "upos": "X", "head": 0 if k == 1 else 1, "deprel": "dep"}
+             for k in range(1, rng.randint(2, 6))]
+            for _ in range(rng.randint(0, 3))]
+
+
+def test_loaded_tables_add_at_most_one_tracked_object_per_record(tmp_path):
+    # the collector walks every tracked object; a table of columns of atoms
+    # gives it at most the one SubwordScores per score record
+    rng = random.Random(0)
+    n = 200
+    files = {
+        ReplayCausalLM: [({"text": f"t{i}"}, _lm_response(rng)) for i in range(n)],
+        ReplayMT: [({"src": "s", "tgt": f"t{i}", **({"task": "argmax"} if i % 2 else {})},
+                    _lm_response(rng)) for i in range(n)],
+        ReplayParser: [({"text": f"t{i}", "lang": "EN"}, _parse_response(rng))
+                       for i in range(n)],
+    }
+    for cls, records in files.items():
+        p = _write(tmp_path / f"{cls.__name__}.jsonl", {"kind": cls.kind}, records)
+        gc.collect()
+        before = len(gc.get_objects())
+        adapter = cls(p)
+        # a collection untracks a tuple only once its items are untracked,
+        # so a parse's three levels of tuples take three
+        for _ in range(3):
+            gc.collect()
+        # besides the records: the adapter, its attribute dict, meta and table
+        assert len(gc.get_objects()) - before <= n + 4, cls.__name__
+        assert len(adapter._table) == n
 
 
 def test_encoder_holds_about_eight_bytes_per_float(tmp_path):

@@ -279,10 +279,12 @@ def test_bad_fp_position_fails_only_its_side(tmp_path, caplog):
 
 
 def test_failed_jsonl_write_leaves_destination_unchanged(tmp_path):
-    p = tmp_path / "clean.jsonl.gz"
-    pipeline.write_jsonl(p, [{"a": 1}], meta={"command": "normalize"})
-    before = p.read_bytes()
-    with pytest.raises(TypeError):
-        pipeline.write_jsonl(p, [{"a": 2}, {"b": object()}])
-    assert p.read_bytes() == before
-    assert [f.name for f in tmp_path.iterdir()] == ["clean.jsonl.gz"]
+    for name in ("clean.jsonl.gz", "plain.jsonl"):
+        p = tmp_path / name
+        pipeline.write_jsonl(p, [{"a": 1}, {"a": 2}], meta={"command": "normalize"})
+        before = p.read_bytes()
+        with pytest.raises(TypeError):
+            pipeline.write_jsonl(p, [{"a": 3}, {"b": object()}])
+        assert p.read_bytes() == before
+        assert pipeline.read_jsonl(p) == ({"command": "normalize"}, [{"a": 1}, {"a": 2}])
+    assert sorted(f.name for f in tmp_path.iterdir()) == ["clean.jsonl.gz", "plain.jsonl"]

@@ -11,7 +11,10 @@ from wordbits.adapters import (
     ReplayCausalLM,
     ReplayMT,
     SubwordScore,
+    SubwordScores,
     detokenize_pieces,
+    is_punct_text,
+    mock_pieces,
 )
 from wordbits.surprisal import (
     RECOVERY_RULES,
@@ -397,6 +400,80 @@ def test_window_slices_are_detokenized_contexts():
         score_sliding_window(Seg(text, text.split()), lm, window=window)
         assert lm.requests == [text] + [detokenize_pieces(subs[i - window + 1:i + 1])
                                         for i in range(window, len(subs))]
+
+
+class _SeededScorer:
+    """Scores any request from an rng seeded by the request: mock pieces with
+    log probabilities that are sometimes 0 or positive, sometimes no pieces,
+    and in drift mode sometimes a renamed last piece.  Returns a SubwordScore
+    list, or the same scores as SubwordScores."""
+
+    name = "seeded"
+
+    def __init__(self, seed, columns, drift=False):
+        self.seed = seed
+        self.columns = columns
+        self.drift = drift
+
+    def score(self, *texts):
+        rng = random.Random("|".join((str(self.seed),) + texts))
+        subs = [] if rng.random() < 0.03 else [
+            SubwordScore(s, rng.choice([0.0, 0.5, -rng.expovariate(0.3)]), b,
+                         is_punct_text(s) if rng.random() < 0.9 else not is_punct_text(s))
+            for s, b in mock_pieces(texts[-1], 2 + self.seed % 4)]
+        if self.drift and subs and rng.random() < 0.02:
+            subs[-1] = subs[-1]._replace(surface=subs[-1].surface + "x")
+        return SubwordScores.of(subs) if self.columns else subs
+
+
+def _reference_units(subs):
+    """build_units over SubwordScore objects, as it was before columns."""
+    units = []
+    prev_punct = False
+    for sw in subs:
+        bits = max(0.0, -sw.logprob2)
+        if not units or sw.begins_word or sw.is_punct_unit or prev_punct:
+            units.append(Unit(sw.surface, bits))
+        else:
+            units[-1] = Unit(units[-1].surface + sw.surface, units[-1].bits + bits)
+        prev_punct = sw.is_punct_unit
+    return units
+
+
+def test_scores_as_list_or_columns_score_the_same():
+    rng = random.Random(31)
+    # a group's words are written without spaces between them
+    vocab = [("die",), ("Lage",), ("ernst",), ("hoffnungslos",), ("z.B.",), ("3,5",),
+             ("20",), ("%",), (",",), (".",), ("!?",), ("p.m.",), ("it's",),
+             ("well-made",), ("Straße",), ("5", "%"), ("%", "."),
+             (".", ".", ".")]
+    for trial in range(300):
+        groups = [rng.choice(vocab) for _ in range(rng.randint(0, 30))]
+        words = [w for group in groups for w in group]
+        text = " ".join("".join(group) for group in groups)
+        if rng.random() < 0.1:
+            text += " Rest"
+        seg = Seg(text if rng.random() < 0.95 else " ", words)
+        src = rng.choice(["", "quelle eins", "quelle zwei"])
+        as_list, as_columns = (_SeededScorer(trial, columns) for columns in (False, True))
+        subs = as_list.score(seg.text)
+        assert list(as_columns.score(seg.text)) == subs
+        assert build_units(subs) == build_units(as_columns.score(seg.text)) == \
+            _reference_units(subs)
+        assert realign_cascade(build_units(subs), words) == \
+            realign_cascade(build_units(SubwordScores.of(subs)), words)
+        cap = rng.randint(1, 40)
+        assert score_segment_bounded(seg, as_list, cap) == \
+            score_segment_bounded(seg, as_columns, cap)
+        for c in (cap, None):
+            assert subword_bits(seg, as_list.score, c) == \
+                subword_bits(seg, as_columns.score, c) == \
+                [max(0.0, -sw.logprob2) for sw in subs[:c]]
+        window = rng.randint(1, 8)
+        drifting = [_SeededScorer(trial, columns, drift=True) for columns in (False, True)]
+        assert score_sliding_window(seg, drifting[0], window) == \
+            score_sliding_window(seg, drifting[1], window)
+        assert score_mt(src, seg, as_list) == score_mt(src, seg, as_columns)
 
 
 # --- aggregates and BLEU ---------------------------------------------------

@@ -273,12 +273,20 @@ def test_float_cells_use_repr_exactly():
     assert read_table(buf, "wide")[0].base_bleu == rec.base_bleu
 
 
-# sha256 of write_table output for the round-trip test's seeded rows, recorded
-# before the column plans replaced per-cell kind dispatch
+# sha256 of write_table output for the round-trip test's seeded rows, at
+# gzip compression level 6
 PINNED_SHA256 = {
-    "vertical": "92927805086d98a5379744303968c7d557bcec5298a85921b4be0f72baa7f779",
-    "long": "0aa3bb1aff4443f896fe4e6f431d2dce9bbec84e8a3b2845a9b2f511acd9ad5c",
-    "wide": "b21bad1f01d73bccc992d7b0e12eca585f77920952ef4567c6872a1ffae2de54",
+    "vertical": "858750d6ca1038165fc4c64356807b8804788c97d7a3e8b4628d069fbf95d982",
+    "long": "dc39e2a80edcbe8e14a07c3a2ae279932af30d6b0e3b6af9cea5396f7f2229d2",
+    "wide": "751f2dfafce35d0e723e39d7a8a2af7c35ed6608d9308c0ca0119736d8bd8b7d",
+}
+
+# sha256 of the same outputs decompressed, recorded at level 9 before the
+# level was set: the level changes the compressed bytes, never the body
+PINNED_BODY_SHA256 = {
+    "vertical": "493f897257ae2f2fb406d4f6b978d8e78d6cee54e326fc926ced57011b3a9e9b",
+    "long": "8a05ef4698be53a0268bd2e384fbf15b08da6d2e590024aed85480dd495d2ec8",
+    "wide": "4f6a620881abeec832fbf811e8fb074cab3618947cbc7a0db855c54effd9d5ab",
 }
 
 
@@ -292,6 +300,8 @@ def test_write_bytes_pinned(format, maker, n, seed):
     buf = io.BytesIO()
     write_table([maker(rng) for _ in range(n)], format, buf)
     assert hashlib.sha256(buf.getvalue()).hexdigest() == PINNED_SHA256[format]
+    body = gzip.decompress(buf.getvalue())
+    assert hashlib.sha256(body).hexdigest() == PINNED_BODY_SHA256[format]
 
 
 @pytest.mark.parametrize("attr,value,column", [
