@@ -41,10 +41,11 @@ for an item indexed or iterated.  Argmax, parse and encoder lookups build
 fresh ``PredictedPiece``s, ``ConlluToken``s and tuples from the columns.
 Apart from one ``SubwordScores`` per score record, nothing a loaded table
 holds stays tracked by the garbage collector: its collections untrack
-tuples of atoms.  A record that is not valid JSON or does not decode, or
-that repeats a request with a different response, fails the load with its
-file and line.  Subword surfaces are marker-free; ``begins_word`` carries
-the beginning-of-word information.
+tuples of atoms.  A first line that is not exactly the meta object, a
+record that is not valid JSON or does not decode, or one that repeats a
+request with a different response, fails the load with its file and line.
+Subword surfaces are marker-free; ``begins_word`` carries the
+beginning-of-word information.
 """
 
 from __future__ import annotations
@@ -60,6 +61,8 @@ from sys import intern
 from typing import NamedTuple
 
 import numpy as np
+
+from .tables import text_writer
 
 
 class AdapterError(RuntimeError):
@@ -169,8 +172,9 @@ def request_key(request: dict) -> str:
 
 
 def write_replay(path, meta: dict, records) -> None:
-    """Write a replay file: meta line, then (request, response) pairs."""
-    with open(path, "w", encoding="utf-8") as f:
+    """Write a replay file atomically: meta line, then (request, response)
+    pairs."""
+    with text_writer(path, gz=False) as f:
         f.write(json.dumps({"meta": meta}, ensure_ascii=False) + "\n")
         for request, response in records:
             f.write(json.dumps({"request": request, "response": response},
@@ -183,68 +187,60 @@ _BAD_RECORD = (RuntimeError, LookupError, TypeError, ValueError, ArithmeticError
                AttributeError)
 
 
-def load_replay(path, adapter) -> tuple[dict, dict]:
-    """Read a replay file into its meta dict and a table from request key to
-    value.
-
-    ``adapter._accept(meta)`` checks the meta line before any record is
-    read, each record is stored as ``adapter._decode(request, response)``,
-    and ``adapter._same`` compares the values of two records for one
-    request.  A record that does not parse or decode, or that repeats a
-    request with a different value, raises AdapterError naming its line.
-    """
-    with open(path, encoding="utf-8") as f:
-        first = f.readline()
-        if not first:
-            raise AdapterError(f"{path}: empty replay file")
-        try:
-            meta = json.loads(first).get("meta", {})
-        except (ValueError, AttributeError) as exc:
-            raise AdapterError(f"{path}:1: bad replay meta line: {exc}") from exc
-        adapter._accept(meta)
-        table = {}
-        first_line = {}
-        for lineno, line in enumerate(f, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                request = rec["request"]
-                key = request_key(request)
-                value = adapter._decode(request, rec["response"])
-            except _BAD_RECORD as exc:
-                raise AdapterError(f"{path}:{lineno}: bad replay record: {exc}") from exc
-            if key not in table:
-                table[key] = value
-                first_line[key] = lineno
-            elif not adapter._same(table[key], value):
-                raise AdapterError(
-                    f"{path}:{lineno}: response for request {key} differs from "
-                    f"the one on line {first_line[key]}")
-    return meta, table
-
-
 class _ReplayBase:
     """A replay file's records, each decoded once at load by the subclass's
     ``_decode(request, response)`` into the immutable value its lookups
-    read."""
+    read; ``_same`` compares the values of two records for one request."""
 
     kind = ""
     _same = staticmethod(eq)
 
     def __init__(self, path):
+        """Load the replay file at path.  Its first line must be the meta
+        object, checked before any record is read.  A meta line or record
+        that does not parse or decode, or a record that repeats a request
+        with a different value, raises AdapterError naming its line."""
         self.path = str(path)
         self._units = {}  # surface -> (shared surface, is punct), while loading
-        self.meta, self._table = load_replay(path, self)
+        table = self._table = {}
+        first_line = {}
+        with open(path, encoding="utf-8") as f:
+            first = f.readline()
+            if not first:
+                raise AdapterError(f"{self.path}: empty replay file")
+            try:
+                head = json.loads(first)
+                if not (isinstance(head, dict) and set(head) == {"meta"}
+                        and isinstance(head["meta"], dict)):
+                    raise ValueError('not a {"meta": {...}} object')
+            except ValueError as exc:
+                raise AdapterError(f"{self.path}:1: bad replay meta line: {exc}") from exc
+            meta = self.meta = head["meta"]
+            if meta.get("kind") not in (None, self.kind):
+                raise AdapterError(f"{self.path}: replay kind {meta.get('kind')!r} "
+                                   f"does not match {self.kind!r}")
+            self.name = meta.get("name", "replay")
+            self.log_base = str(meta.get("log_base", "2"))
+            for lineno, line in enumerate(f, start=2):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    rec = json.loads(line)
+                    request = rec["request"]
+                    key = request_key(request)
+                    value = self._decode(request, rec["response"])
+                except _BAD_RECORD as exc:
+                    raise AdapterError(
+                        f"{self.path}:{lineno}: bad replay record: {exc}") from exc
+                if key not in table:
+                    table[key] = value
+                    first_line[key] = lineno
+                elif not self._same(table[key], value):
+                    raise AdapterError(
+                        f"{self.path}:{lineno}: response for request {key} differs "
+                        f"from the one on line {first_line[key]}")
         del self._units
-
-    def _accept(self, meta: dict) -> None:
-        if meta.get("kind") not in (None, self.kind):
-            raise AdapterError(
-                f"{self.path}: replay kind {meta.get('kind')!r} does not match {self.kind!r}")
-        self.name = meta.get("name", "replay")
-        self.log_base = str(meta.get("log_base", "2"))
 
     def _lookup(self, request: dict):
         key = request_key(request)

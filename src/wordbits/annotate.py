@@ -239,6 +239,8 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
     whitespace-token indices in fp_positions; ids is an ItemId prefix with
     doc and seg set.  Surprisal and alignment columns are filled later.  A
     position not at an FP form is dropped with a warning: its token is a word.
+    Without a parser (adapter None), or when it fails with a warning, each
+    whitespace token becomes one token-only row.
     """
     ws_tokens = clean_text.split()
     positions = sorted(set(fp_positions or []))
@@ -251,21 +253,21 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
     scored_tokens = [t for i, t in enumerate(ws_tokens) if i not in fp_set]
     text = " ".join(scored_tokens)
 
-    try:
-        if text:
-            sentences = adapter.annotate(text, lang)
-        else:
-            sentences = []
-        surfaces = _surface_rows(sentences)
-        owners, spans = _place_forms([s.form for _, s, _ in surfaces],
-                                     scored_tokens, clean_text)
-        parsed = True
-    except Exception as exc:
-        log.warning("parser %s failed on %r: %s; keeping token-only rows",
-                    getattr(adapter, "name", adapter), clean_text[:60], exc)
+    parsed = adapter is not None or not text
+    if parsed:
+        try:
+            sentences = adapter.annotate(text, lang) if text else []
+            surfaces = _surface_rows(sentences)
+            owners, spans = _place_forms([s.form for _, s, _ in surfaces],
+                                         scored_tokens, clean_text)
+        except Exception as exc:
+            log.warning("parser %s failed on %r: %s; keeping token-only rows",
+                        getattr(adapter, "name", adapter), clean_text[:60], exc)
+            parsed = False
+    if not parsed:
+        # no parser, or a failed one: one row per whitespace token
         surfaces = [(0, ConlluToken("0", tok), []) for tok in scored_tokens]
         owners, spans = _place_forms(scored_tokens, scored_tokens, clean_text)
-        parsed = False
 
     # owners index scored_tokens; translate to positions among all ws tokens
     scored_ws = [i for i in range(len(ws_tokens)) if i not in fp_set]

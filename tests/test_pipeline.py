@@ -34,6 +34,23 @@ class Raising:
         return fail
 
 
+class Recording:
+    """Forwards to an adapter and records each call as (method, args)."""
+
+    def __init__(self, inner, calls):
+        self.inner = inner
+        self.calls = calls
+        self.name = inner.name
+
+    def __getattr__(self, attr):
+        method = getattr(self.inner, attr)
+
+        def call(*args):
+            self.calls.append((attr, args))
+            return method(*args)
+        return call
+
+
 @pytest.fixture(scope="module")
 def example_segments(example_input_tsv):
     cfg = RunConfig(lpair="de-en", mode="sp")
@@ -288,3 +305,44 @@ def test_failed_jsonl_write_leaves_destination_unchanged(tmp_path):
         assert p.read_bytes() == before
         assert pipeline.read_jsonl(p) == ({"command": "normalize"}, [{"a": 1}, {"a": 2}])
     assert sorted(f.name for f in tmp_path.iterdir()) == ["clean.jsonl.gz", "plain.jsonl"]
+
+
+def test_unset_parser_role_is_no_failure(example_segments, caplog):
+    cfg = RunConfig(lpair="de-en", mode="sp")
+    adapters = pipeline.adapters_from_config(cfg, mock_fallback=True)
+    adapters.parser = Raising(adapters.parser, "annotate")
+    want = pipeline.annotate_corpus(example_segments, cfg, adapters)
+    adapters.parser = None
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        got = pipeline.annotate_corpus(example_segments, cfg, adapters)
+    assert "parser" not in caplog.text
+    assert got == want
+
+
+def test_no_adapter_call_for_an_empty_side():
+    cfg = RunConfig(lpair="de-en", mode="sp")
+    segments = pipeline.normalize_rows([
+        {"doc_id": "1", "seg_id": "1", "src_raw": "", "tgt_raw": "three short words here"},
+        {"doc_id": "1", "seg_id": "2", "src_raw": "wir haben das", "tgt_raw": ""},
+        {"doc_id": "1", "seg_id": "3", "src_raw": "wir euh haben", "tgt_raw": "euh hm"},
+        {"doc_id": "1", "seg_id": "4", "src_raw": "wir haben", "tgt_raw": "we have"},
+    ], cfg)
+    plain = pipeline.adapters_from_config(cfg, mock_fallback=True)
+    want = pipeline.annotate_corpus(segments, cfg, plain)
+    calls = []
+    recorded = pipeline.AdapterSet(**{role: Recording(getattr(plain, role), calls)
+                                      for role in pipeline.ROLES})
+    rows, sidecar = pipeline.annotate_corpus(segments, cfg, recorded)
+    assert (rows, sidecar) == want
+    # every role still scores the non-empty sides; no call gets an empty text
+    assert {method for method, _ in calls} == {"score", "predict_argmax", "embed",
+                                                "annotate"}
+    assert [(m, args) for m, args in calls if "" in args] == []
+    means = {(int(r["seg_id"]), r["side"]): r for r in sidecar}
+    assert means[1, "src"]["base_gpt_avs_subw"] is None
+    assert means[1, "pair"]["base_mt_avs_subw"] is None
+    assert means[2, "tgt"]["ft_gpt_avs_subw"] is None
+    assert means[2, "pair"]["ft_mt_avs_subw"] is None
+    assert means[3, "tgt"]["base_gpt_avs_subw"] is None
+    assert means[4, "pair"]["base_mt_avs_subw"] is not None

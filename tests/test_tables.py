@@ -6,12 +6,15 @@ import re
 import string
 import tracemalloc
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import pytest
 
+from wordbits import tables
 from wordbits.ids import ItemId, ItemIdError, parse_item_id
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
-from wordbits.tables import SCHEMA, TableError, column_plan, read_table, write_table
+from wordbits.tables import (SCHEMA, TableError, column_plan, read_table, text_writer,
+                             write_table)
 
 SAFE = string.ascii_letters + string.digits + ".!?'-"
 
@@ -326,6 +329,47 @@ def test_failed_write_leaves_destination_unchanged(tmp_path):
     assert p.read_bytes() == before
     assert read_table(p, "long") == good
     assert [f.name for f in tmp_path.iterdir()] == ["long.tsv.gz"]
+
+
+class _FailingFlush(io.TextIOWrapper):
+    def detach(self):
+        super().detach()
+        raise OSError("no space left")
+
+
+@pytest.mark.parametrize("gz, fault", [(True, "flush"), (False, "flush"),
+                                       (True, "gzip-close")])
+def test_failure_while_closing_leaves_destination_unchanged(tmp_path, monkeypatch,
+                                                           gz, fault):
+    p = tmp_path / "out.txt"
+    p.write_bytes(b"old\n")
+    if fault == "flush":
+        monkeypatch.setattr(tables, "io", SimpleNamespace(TextIOWrapper=_FailingFlush))
+    else:
+        close = gzip.GzipFile.close
+
+        def failing_close(self):
+            close(self)
+            raise OSError("no space left")
+        monkeypatch.setattr(gzip.GzipFile, "close", failing_close)
+    body_done = False
+    with pytest.raises(OSError, match="no space left"):
+        with text_writer(p, gz=gz) as out:
+            out.write("new\n")
+            body_done = True
+    assert body_done
+    assert p.read_bytes() == b"old\n"
+    assert [f.name for f in tmp_path.iterdir()] == ["out.txt"]
+
+
+@pytest.mark.parametrize("gz", [True, False])
+def test_write_to_binary_stream_leaves_it_open(gz):
+    buf = io.BytesIO()
+    with text_writer(buf, gz=gz) as out:
+        out.write("a\tb\n")
+    assert not buf.closed
+    body = buf.getvalue()
+    assert (gzip.decompress(body) if gz else body) == b"a\tb\n"
 
 
 @dataclass
