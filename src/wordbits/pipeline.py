@@ -12,7 +12,6 @@ import json
 import logging
 from bisect import bisect_right
 from dataclasses import field, make_dataclass
-from functools import partial
 from typing import NamedTuple
 
 from . import align, surprisal
@@ -152,12 +151,18 @@ def write_jsonl(path, records, meta=None) -> None:
 
 
 def read_jsonl(path):
+    """(meta, records): a first line {"meta": {...}} is the meta.  A line
+    that is not JSON raises ValueError naming path:line."""
     meta = None
     records = []
     with open_text(path, "r") as f:
-        for i, line in enumerate(f):
-            obj = json.loads(line)
-            if i == 0 and isinstance(obj, dict) and set(obj) == {"meta"}:
+        for lineno, line in enumerate(f, start=1):
+            try:
+                obj = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
+            if lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"} \
+                    and isinstance(obj["meta"], dict):
                 meta = obj["meta"]
                 continue
             records.append(obj)
@@ -170,12 +175,6 @@ def _seg_prefix(cfg: RunConfig, ttype: str, doc_id: str, seg_id: str) -> ItemId:
                   doc_id=str(doc_id).zfill(cfg.doc_pad),
                   seg_id=str(seg_id).zfill(cfg.seg_pad),
                   explicit_mode=ttype not in IMPLIED_MODE)
-
-
-def _score_words(seg, adapter, cfg: RunConfig):
-    if cfg.scoring == "window":
-        return surprisal.score_sliding_window(seg, adapter, cfg.window)
-    return surprisal.score_segment_bounded(seg, adapter, cfg.cap)
 
 
 def _word_map_from_spans(spans, emb):
@@ -229,18 +228,15 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
             if adapter and parsed.text:
                 if spec.kind == "mt":
                     scored = surprisal.score_mt(src_text, parsed, adapter)
-                    # no source, no translation to score: the mean stays
-                    # null like the word bits score_mt nulls
-                    bits = (surprisal.subword_bits(
-                        parsed, partial(adapter.score, src_text), cap=None)
-                        if src_text.strip() else [])
+                elif cfg.scoring == "window":
+                    scored = surprisal.score_sliding_window(parsed, adapter, cfg.window)
                 else:
-                    scored = _score_words(parsed, adapter, cfg)
-                    bits = surprisal.subword_bits(parsed, adapter.score, cfg.cap)
+                    scored = surprisal.score_segment_bounded(parsed, adapter, cfg.cap)
                 for ws, row in zip(scored, parsed.scored):
                     if ws.bits is not None:
                         setattr(row, spec.column, ws.bits)
-                mean = sum(bits) / len(bits) if bits else None
+                # the mean of the subwords the word bits came from, if any
+                mean = _mean_or_none(surprisal.subword_bits(scored))
             if spec.kind == "mt":
                 extra["pair"][spec.key] = mean
                 extra["pair"][spec.key.replace("mt_avs_subw", "bleu")] = \

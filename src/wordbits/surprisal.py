@@ -192,14 +192,21 @@ def realign_cascade(units, words) -> list[WordSurprisal]:
     return out
 
 
+class ScoredJob(list):
+    """One job's WordSurprisals; subwords: the SubwordScores behind them."""
+
+    subwords = None
+
+
 def _all_failed(words, note=None):
-    return [WordSurprisal(i, None, "failed", note) for i in range(len(words))]
+    return ScoredJob(WordSurprisal(i, None, "failed", note) for i in range(len(words)))
 
 
 def _realigned(seg, adapter, score):
-    """Realign the subword scores score() returns to seg.words.  An adapter
-    error, or window drift (score() returns None), nulls the whole segment
-    but never drops it; units left after the last word are logged."""
+    """Realign the subword scores score() returns to seg.words, as a
+    ScoredJob holding those scores.  An adapter error, or window drift
+    (score() returns None), nulls the whole segment but never drops it, and
+    leaves no subwords; units left after the last word are logged."""
     try:
         subs = score()
     except Exception as exc:
@@ -208,7 +215,9 @@ def _realigned(seg, adapter, score):
         return _all_failed(seg.words, note="adapter_error")
     if subs is None:
         return _all_failed(seg.words, note="window_drift")
-    out = realign_cascade(build_units(subs), seg.words)
+    subs = SubwordScores.of(subs)
+    out = ScoredJob(realign_cascade(build_units(subs), seg.words))
+    out.subwords = subs
     if out and out[-1].note == "unconsumed_subwords":
         log.warning("adapter %s scored subwords past the last word; "
                     "their bits are not kept", getattr(adapter, "name", adapter))
@@ -285,15 +294,10 @@ def score_mt(src_text: str, seg, adapter):
     return _realigned(seg, adapter, lambda: adapter.score(src_text, seg.text))
 
 
-def subword_bits(seg, score, cap: int = SUBWORD_CAP):
-    """Raw per-subword bits of seg.text for the subword-level aggregate.
-    score maps a text to its subword scores: an LM adapter's score, or an MT
-    adapter's score with the source text bound."""
-    try:
-        subs = score(seg.text)
-    except Exception:
-        return []
-    return SubwordScores.of(subs[:cap]).bits()
+def subword_bits(scored) -> list[float]:
+    """Per-subword bits of the stream a scoring job's word bits came from,
+    for the subword-level mean; empty when the job failed."""
+    return scored.subwords.bits() if scored.subwords is not None else []
 
 
 def _ngrams(tokens, n):

@@ -96,9 +96,9 @@ _PINNED = {
         "vertical.tsv.gz":
             "10f2186ef515f5604b35840ce23055b2c9dfc7badfd32666b70f15538c305406",
         "sidecar.jsonl.gz":
-            "72fafe95483d3c3cf43af4563bf8c6d9ed2d5c19f1152f239b0ec82c887c5e4a",
+            "4269d28662e823d4d2eba2412365456a144917f5942f6fdbb700e860995e6e27",
         "long.tsv.gz":
-            "00b46eda1124f53142a70d0a88f507101bf10d0a24127658a990be02ff5e17a8",
+            "e42fd3957c0addfcad94805614a0ed407bda713522f1be5e3bb7c3bf427d648e",
         "wide.tsv.gz":
             "10291ccade8f9f82f25669c6a8cf8fe2db0da34278ec86419da9db1de34ef494",
     },
@@ -108,9 +108,9 @@ _PINNED = {
         "vertical.tsv.gz":
             "cdc7e78898afdcde4c4faeaadc4413dfc683236e301dbc76e02a2c34da80d1ba",
         "sidecar.jsonl.gz":
-            "9f32ce789f456b4e05e1e3b7020ae5e45ca9d9c13f70e277a27b24af56275bc5",
+            "674b45b18302d0344046cebe0ee4a8abd531954e0f33d9d0b2f8de42e711c63b",
         "long.tsv.gz":
-            "a43b7adc614bae4068cc8ee42bad6ee9547e060fcb2e241c642f1fe466dea76e",
+            "40f2c736debd3f6a0433194cba39b8fa2629eb867dc2b13d1e7a5e36b648da0a",
         "wide.tsv.gz":
             "39120568bd5906bce54c779a9d0fa0380488bd5cda511b32bc1b1ad7a0dd3017",
     },

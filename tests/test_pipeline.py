@@ -4,6 +4,7 @@ adapter role, and the segment aggregates."""
 import copy
 import logging
 import random
+import re
 import threading
 
 import pytest
@@ -346,3 +347,131 @@ def test_no_adapter_call_for_an_empty_side():
     assert means[2, "pair"]["ft_mt_avs_subw"] is None
     assert means[3, "tgt"]["base_gpt_avs_subw"] is None
     assert means[4, "pair"]["base_mt_avs_subw"] is not None
+
+
+def test_each_scoring_role_scores_a_side_once():
+    cfg = RunConfig(lpair="de-en", mode="sp")
+    segments = pipeline.normalize_rows([
+        {"doc_id": "1", "seg_id": "1", "src_raw": "", "tgt_raw": "three short words here"},
+        {"doc_id": "1", "seg_id": "2", "src_raw": "wir haben das", "tgt_raw": ""},
+        {"doc_id": "1", "seg_id": "3", "src_raw": "wir euh haben", "tgt_raw": "euh hm"},
+        {"doc_id": "1", "seg_id": "4", "src_raw": "wir haben", "tgt_raw": "we have"},
+    ], cfg)
+    plain = pipeline.adapters_from_config(cfg, mock_fallback=True)
+    calls = {role: [] for role in pipeline.ROLES}
+    recorded = pipeline.AdapterSet(**{role: Recording(getattr(plain, role), calls[role])
+                                      for role in pipeline.ROLES})
+    pipeline.annotate_corpus(segments, cfg, recorded)
+    scores = {role: [args for method, args in calls[role] if method == "score"]
+              for role in pipeline.ROLES}
+    # words to score: targets of segments 1 and 4 (segment 3 has only
+    # fillers), sources of segments 2-4; MT needs both sides: segment 4
+    assert {role: len(args) for role, args in scores.items()} == {
+        "lm_base": 2, "lm_ft": 2, "src_lm_base": 3, "src_lm_ft": 3,
+        "mt_base": 1, "mt_ft": 1, "encoder": 0, "parser": 0}
+    assert scores["lm_base"] == [("Three short words here",), ("We have",)]
+    assert scores["mt_base"] == [("Wir haben", "We have")]
+
+
+def _one_segment(tgt_raw, **cfg_keys):
+    """One spoken segment with mock adapters for every role."""
+    cfg = RunConfig(lpair="de-en", mode="sp", **cfg_keys)
+    segments = pipeline.normalize_rows(
+        [{"doc_id": "1", "seg_id": "1", "src_raw": "wir haben das", "tgt_raw": tgt_raw}],
+        cfg)
+    return segments, cfg, pipeline.adapters_from_config(cfg, mock_fallback=True)
+
+
+def _tgt_lm(rows, sidecar, column, key):
+    """Target-side word bits of one LM column and the sidecar's mean."""
+    [tgt] = [r for r in sidecar if r["side"] == "tgt"]
+    return [getattr(r, column) for r in rows if r.lang == "EN" and not r.is_fp], tgt[key]
+
+
+class _Renaming:
+    """Forwards score to an LM, renaming one piece of some responses."""
+
+    def __init__(self, inner, rename):
+        self.inner = inner
+        self.rename = rename  # (text, pieces) -> index to rename, or None
+        self.name = inner.name
+
+    def score(self, text):
+        pieces = list(self.inner.score(text))
+        k = self.rename(text, pieces)
+        if k is not None:
+            pieces[k] = pieces[k]._replace(surface=pieces[k].surface + "x")
+        return pieces
+
+
+def test_window_subword_mean_conserves_the_word_bits():
+    segments, cfg, adapters = _one_segment(" ".join(["interpretation"] * 60),
+                                           scoring="window")
+    calls = []
+    adapters.lm_base = Recording(adapters.lm_base, calls)
+    rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    # the whole segment is scored first, then each 64-subword window slice
+    n_subwords = len(adapters.lm_base.inner.score(*calls[0][1]))
+    assert n_subwords == 240 and len(calls) == 1 + 240 - 64
+    for role in ("lm_base", "lm_ft"):
+        spec = pipeline.ROLES[role]
+        bits, mean = _tgt_lm(rows, sidecar, spec.column, spec.key)
+        assert len(bits) == 60 and None not in bits
+        assert mean * n_subwords == pytest.approx(sum(bits), rel=1e-12)
+
+
+def test_window_drift_nulls_the_subword_mean():
+    segments, cfg, adapters = _one_segment(" ".join(["interpretation"] * 30),
+                                           scoring="window", window=8)
+    text = " ".join(["Interpretation"] + ["interpretation"] * 29)
+    adapters.lm_base = _Renaming(adapters.lm_base,
+                                 lambda t, pieces: None if t == text else len(pieces) - 1)
+    rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    bits, mean = _tgt_lm(rows, sidecar, "srp_base_gpt2", "base_gpt_avs_subw")
+    assert bits == [None] * 30 and mean is None
+    bits, mean = _tgt_lm(rows, sidecar, "srp_ft_gpt2", "ft_gpt_avs_subw")
+    assert None not in bits and mean is not None
+
+
+def test_partly_realigned_bounded_job_keeps_its_subword_mean():
+    segments, cfg, adapters = _one_segment("we have seen the procedure today")
+    inner = adapters.lm_base
+    adapters.lm_base = _Renaming(inner, lambda t, pieces: 3)
+    rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    bits, mean = _tgt_lm(rows, sidecar, "srp_base_gpt2", "base_gpt_avs_subw")
+    assert bits[0] is not None and bits[-1] is None
+    stream = [max(0.0, -sw.logprob2) for sw in inner.score("We have seen the procedure today")]
+    assert mean == pytest.approx(sum(stream) / len(stream), rel=1e-12)
+
+
+def test_raising_lm_nulls_word_bits_and_mean_with_one_warning(caplog):
+    segments, cfg, adapters = _one_segment("we have seen the procedure today")
+    adapters.lm_base = Raising(adapters.lm_base, "score")
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    bits, mean = _tgt_lm(rows, sidecar, "srp_base_gpt2", "base_gpt_avs_subw")
+    assert bits == [None] * 6 and mean is None
+    [warning] = caplog.records
+    assert "failed, segment retained with null bits" in warning.getMessage()
+    bits, mean = _tgt_lm(rows, sidecar, "srp_ft_gpt2", "ft_gpt_avs_subw")
+    assert None not in bits and mean is not None
+
+
+@pytest.mark.parametrize("name", ["bad.jsonl", "bad.jsonl.gz"])
+def test_read_jsonl_names_the_line_that_is_not_json(tmp_path, name):
+    p = tmp_path / name
+    pipeline.write_jsonl(p, [{"a": 1}], meta={"command": "normalize"})
+    with pipeline.open_text(p, "r") as f:
+        lines = f.read()
+    with pipeline.open_text(p, "w") as f:
+        f.write(lines + "not json\n")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{p}:3: not JSON")):
+        pipeline.read_jsonl(p)
+
+
+def test_read_jsonl_meta_must_be_a_dict(tmp_path):
+    p = tmp_path / "clean.jsonl"
+    p.write_text('{"meta": "x"}\n{"a": 1}\n', encoding="utf-8")
+    assert pipeline.read_jsonl(p) == (None, [{"meta": "x"}, {"a": 1}])
+    p.write_text('{"meta": {"command": "normalize"}}\n{"meta": {}}\n', encoding="utf-8")
+    assert pipeline.read_jsonl(p) == ({"command": "normalize"}, [{"meta": {}}])

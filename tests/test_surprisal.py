@@ -370,6 +370,17 @@ def test_window_drift_nulls_segment_with_note():
                and w.note == "window_drift" for w in drifted)
 
 
+def test_failed_jobs_leave_no_subword_bits():
+    subs = [_sw("a", 1.0), _sw("b", 1.0), _sw("c", 1.0)]
+    job = Seg("a b c", ["a", "b", "c"])
+    assert subword_bits(score_sliding_window(job, SliceLM("a b c", subs, "c"),
+                                             window=2)) == [1.0, 1.0, 9.0]
+    assert subword_bits(score_sliding_window(job, SliceLM("a b c", subs, "x"),
+                                             window=2)) == []
+    assert subword_bits(score_mt("", job, MockMT())) == []
+    assert subword_bits(score_mt("quelle", Seg(" ", ["x"]), MockMT())) == []
+
+
 class RecordingLM:
     """Scores the full text with canned pieces and records every request;
     the k-th window slice answers with the piece it rescores."""
@@ -466,8 +477,8 @@ def test_scores_as_list_or_columns_score_the_same():
         assert score_segment_bounded(seg, as_list, cap) == \
             score_segment_bounded(seg, as_columns, cap)
         for c in (cap, None):
-            assert subword_bits(seg, as_list.score, c) == \
-                subword_bits(seg, as_columns.score, c) == \
+            assert subword_bits(score_segment_bounded(seg, as_list, c)) == \
+                subword_bits(score_segment_bounded(seg, as_columns, c)) == \
                 [max(0.0, -sw.logprob2) for sw in subs[:c]]
         window = rng.randint(1, 8)
         drifting = [_SeededScorer(trial, columns, drift=True) for columns in (False, True)]
@@ -480,8 +491,11 @@ def test_scores_as_list_or_columns_score_the_same():
 
 def test_subword_bits_capped():
     subs = [_sw(f"w{i}", 1.0) for i in range(10)]
-    vals = subword_bits(Seg("irrelevant", []), FixedLM(subs).score, cap=4)
-    assert vals == [1.0] * 4
+    words = [f"w{i}" for i in range(10)]
+    lm = FixedLM(subs)
+    out = score_segment_bounded(Seg(" ".join(words), words), lm, cap=4)
+    assert subword_bits(out) == [1.0] * 4
+    assert lm.calls == 1
 
 
 def test_bleu_identity_is_100():
