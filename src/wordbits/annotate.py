@@ -184,7 +184,9 @@ def validate_sentence_tree(tokens) -> list:
 
 
 def _surface_rows(sentences):
-    """Flatten sentences into (sent_idx, surface ConlluToken, expansions)."""
+    """Flatten sentences into (sent_idx, surface ConlluToken, its integer id
+    or None for a range, expansions as (integer id, ConlluToken) pairs).  A
+    token id that is not an integer, or an empty range, raises ValueError."""
     out = []
     for si, sent in enumerate(sentences):
         i = 0
@@ -193,10 +195,13 @@ def _surface_rows(sentences):
             if tok.is_range:
                 lo, hi = tok.range_span()
                 n = hi - lo + 1
-                out.append((si, tok, sent[i + 1:i + 1 + n]))
+                if n < 1:
+                    raise ValueError(f"token range {tok.id} is empty")
+                out.append((si, tok, None,
+                            [(int(exp.id), exp) for exp in sent[i + 1:i + 1 + n]]))
                 i += 1 + n
             else:
-                out.append((si, tok, []))
+                out.append((si, tok, int(tok.id), []))
                 i += 1
     return out
 
@@ -258,7 +263,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         try:
             sentences = adapter.annotate(text, lang) if text else []
             surfaces = _surface_rows(sentences)
-            owners, spans = _place_forms([s.form for _, s, _ in surfaces],
+            owners, spans = _place_forms([s.form for _, s, _, _ in surfaces],
                                          scored_tokens, clean_text)
         except Exception as exc:
             log.warning("parser %s failed on %r: %s; keeping token-only rows",
@@ -266,7 +271,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
             parsed = False
     if not parsed:
         # no parser, or a failed one: one row per whitespace token
-        surfaces = [(0, ConlluToken("0", tok), []) for tok in scored_tokens]
+        surfaces = [(0, ConlluToken("0", tok), None, []) for tok in scored_tokens]
         owners, spans = _place_forms(scored_tokens, scored_tokens, clean_text)
 
     # owners index scored_tokens; translate to positions among all ws tokens
@@ -284,7 +289,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         seg.word_rows.append(row)
 
     last_sent = None
-    for (si, tok, expansions), owner, span in zip(surfaces, owners, spans):
+    for (si, tok, tok_id, expansions), owner, span in zip(surfaces, owners, spans):
         # an FP row goes before the first parsed token at or past it
         while pending_fps and pending_fps[-1] < owner:
             add_fp()
@@ -295,7 +300,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         seg.spans[ordinal] = span
         surface = WordRow(
             word_id=ids.with_word(f"{ordinal + 1:03d}"),
-            id=None if not parsed else (None if expansions else int(tok.id)),
+            id=tok_id,
             token=tok.form,
         )
         if parsed and not expansions:
@@ -309,10 +314,10 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
             surface.misc = tok.misc
         seg.surface.append(surface)
         seg.word_rows.append(surface)
-        for k, exp in enumerate(expansions, start=1):
+        for k, (exp_id, exp) in enumerate(expansions, start=1):
             seg.word_rows.append(WordRow(
                 word_id=ids.with_word(f"{ordinal + 1:03d}", k),
-                id=int(exp.id), token=exp.form, lemma=exp.lemma, pos=exp.upos,
+                id=exp_id, token=exp.form, lemma=exp.lemma, pos=exp.upos,
                 xpos=exp.xpos, feats=exp.feats, head_id=exp.head,
                 rel=exp.deprel, deps=exp.deps, misc=exp.misc))
     while pending_fps:

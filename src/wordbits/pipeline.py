@@ -223,29 +223,34 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
                 continue
             adapter = getattr(adapters, role)
             parsed = sides[spec.side]
-            mean = None
+            scored = mean = bleu = None
             # an empty side has no words and no subwords: nothing to score
             if adapter and parsed.text:
                 if spec.kind == "mt":
-                    scored = surprisal.score_mt(src_text, parsed, adapter)
+                    job = (surprisal.score_mt, src_text, parsed, adapter)
                 elif cfg.scoring == "window":
-                    scored = surprisal.score_sliding_window(parsed, adapter, cfg.window)
+                    job = (surprisal.score_sliding_window, parsed, adapter, cfg.window)
                 else:
-                    scored = surprisal.score_segment_bounded(parsed, adapter, cfg.cap)
+                    job = (surprisal.score_segment_bounded, parsed, adapter, cfg.cap)
+                scored = _attempt(adapter, "segment retained with null bits", *job)
+            if scored is not None:
                 for ws, row in zip(scored, parsed.scored):
                     if ws.bits is not None:
                         setattr(row, spec.column, ws.bits)
                 # the mean of the subwords the word bits came from, if any
                 mean = _mean_or_none(surprisal.subword_bits(scored))
             if spec.kind == "mt":
+                if adapter and src_text and parsed.text:
+                    bleu = _attempt(adapter, "pseudo-BLEU nulled", surprisal.pseudo_bleu,
+                                    src_text, parsed.text, adapter)
                 extra["pair"][spec.key] = mean
-                extra["pair"][spec.key.replace("mt_avs_subw", "bleu")] = \
-                    _pseudo_bleu(src_text, parsed.text, adapter)
+                extra["pair"][spec.key.replace("mt_avs_subw", "bleu")] = bleu
             else:
                 extra[spec.side][spec.key] = mean
 
         if adapters.encoder and src_seg.words and tgt_seg.words:
-            _align_segment(src_seg, tgt_seg, adapters.encoder, cfg)
+            _attempt(adapters.encoder, "alignments nulled", _align_segment,
+                     src_seg, tgt_seg, adapters.encoder, cfg)
 
         # sidecar records join against the padded ids both sides' rows carry
         ids = {"doc_id": prefix.doc_id, "seg_id": prefix.seg_id}
@@ -259,29 +264,25 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
     return rows_out, sidecar
 
 
-def _pseudo_bleu(src_text, tgt_text, adapter):
-    """Pseudo-BLEU of one MT adapter, or None without an adapter, without
-    text on either side, or when the adapter fails."""
-    if not (adapter and src_text.strip() and tgt_text.strip()):
-        return None
+def _attempt(adapter, nulled, fn, *args):
+    """fn(*args), or None after one warning naming what is nulled if it
+    raises.  Every LM/MT scoring job, pseudo-BLEU and alignment runs through
+    here, so a failing adapter, or output that cannot be read, nulls only
+    what that job fills and keeps the segment."""
     try:
-        return surprisal.pseudo_bleu(src_text, tgt_text, adapter)
+        return fn(*args)
     except Exception as exc:
-        log.warning("adapter %s failed, pseudo-BLEU nulled: %s",
-                    getattr(adapter, "name", adapter), exc)
+        log.warning("adapter %s failed, %s: %s",
+                    getattr(adapter, "name", adapter), nulled, exc)
         return None
 
 
 def _align_segment(src_seg, tgt_seg, encoder, cfg: RunConfig):
     """Fill aligned_word(_id) on both sides from mutual-softmax subword links.
-    An encoder failure leaves the segment's alignments null."""
-    try:
-        src_emb = encoder.embed(src_seg.text, cfg.src_lang)
-        tgt_emb = encoder.embed(tgt_seg.text, cfg.tgt_lang)
-    except Exception as exc:
-        log.warning("adapter %s failed, alignments nulled: %s",
-                    getattr(encoder, "name", encoder), exc)
-        return
+    Rows are filled only once every link is known, so an error leaves no
+    partial alignment."""
+    src_emb = encoder.embed(src_seg.text, cfg.src_lang)
+    tgt_emb = encoder.embed(tgt_seg.text, cfg.tgt_lang)
     pairs = align.subword_align([e[2] for e in src_emb],
                                 [e[2] for e in tgt_emb],
                                 cfg.align_threshold)
@@ -290,30 +291,29 @@ def _align_segment(src_seg, tgt_seg, encoder, cfg: RunConfig):
         _word_map_from_spans(src_seg.spans, src_emb),
         _word_map_from_spans(tgt_seg.spans, tgt_emb),
         cfg.align_threshold)
-    src_rows, tgt_rows = src_seg.surface, tgt_seg.surface
+    forward = {link.src_word_index: link.tgt_word_indices for link in links}
     reverse = {}
-    for link in links:
-        srow = src_rows[link.src_word_index]
-        srow.aligned_word = [tgt_rows[t].token for t in link.tgt_word_indices]
-        srow.aligned_word_id = [str(tgt_rows[t].word_id)
-                                for t in link.tgt_word_indices]
-        for t in link.tgt_word_indices:
-            reverse.setdefault(t, []).append(link.src_word_index)
-    for t, sources in reverse.items():
-        trow = tgt_rows[t]
-        trow.aligned_word = [src_rows[s].token for s in sorted(sources)]
-        trow.aligned_word_id = [str(src_rows[s].word_id) for s in sorted(sources)]
-    # the ", "-joined TSV list cannot carry surfaces that themselves
-    # contain a comma; null those alignments rather than corrupt rows
-    for rows in (src_rows, tgt_rows):
-        nulled = [row for row in rows
-                  if row.aligned_word and any("," in t for t in row.aligned_word)]
+    for s, targets in forward.items():  # links come sorted by source word
+        for t in targets:
+            reverse.setdefault(t, []).append(s)
+    fills = []
+    for rows, peers, linked in ((src_seg.surface, tgt_seg.surface, forward),
+                                (tgt_seg.surface, src_seg.surface, reverse)):
+        aligned = [(rows[k], [peers[j] for j in linked[k]]) for k in sorted(linked)]
+        # the ", "-joined TSV list cannot carry surfaces that themselves
+        # contain a comma; null those alignments rather than corrupt rows
+        nulled = []
+        for row, words in aligned:
+            if any("," in w.token for w in words):
+                nulled.append(row)
+            else:
+                fills.append((row, words))
         if nulled:
             log.warning("comma inside aligned surface, %d alignments nulled, "
                         "first for %s", len(nulled), nulled[0].word_id.render())
-        for row in nulled:
-            row.aligned_word = None
-            row.aligned_word_id = None
+    for row, words in fills:
+        row.aligned_word = [w.token for w in words]
+        row.aligned_word_id = [str(w.word_id) for w in words]
 
 
 def annotate_corpus(segments, cfg: RunConfig, adapters: AdapterSet):

@@ -13,6 +13,11 @@ Failure is terminal for the segment: from the first unmatched word onward,
 words get null bits and the rule label "failed".  Units left over once every
 word has matched are not dropped silently: the last word carries the note
 "unconsumed_subwords".
+
+Nothing here catches an error.  An adapter that raises, output that cannot
+be read as subword scores, and retokenization drift in window rescoring all
+raise out of the scorer; the pipeline's one failure guard nulls that job's
+values and keeps the segment.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
-from .adapters import SubwordScores, detokenize_pieces, is_punct_text
+from .adapters import AdapterError, SubwordScores, detokenize_pieces, is_punct_text
 
 log = logging.getLogger(__name__)
 
@@ -198,23 +203,14 @@ class ScoredJob(list):
     subwords = None
 
 
-def _all_failed(words, note=None):
+def _all_failed(words, note):
     return ScoredJob(WordSurprisal(i, None, "failed", note) for i in range(len(words)))
 
 
-def _realigned(seg, adapter, score):
-    """Realign the subword scores score() returns to seg.words, as a
-    ScoredJob holding those scores.  An adapter error, or window drift
-    (score() returns None), nulls the whole segment but never drops it, and
-    leaves no subwords; units left after the last word are logged."""
-    try:
-        subs = score()
-    except Exception as exc:
-        log.warning("adapter %s failed, segment retained with null bits: %s",
-                    getattr(adapter, "name", adapter), exc)
-        return _all_failed(seg.words, note="adapter_error")
-    if subs is None:
-        return _all_failed(seg.words, note="window_drift")
+def _realigned(seg, adapter, subs):
+    """Realign the subword scores subs to seg.words, as a ScoredJob holding
+    those scores; units left after the last word are logged.  Output that
+    is not subword scores raises."""
     subs = SubwordScores.of(subs)
     out = ScoredJob(realign_cascade(build_units(subs), seg.words))
     out.subwords = subs
@@ -229,7 +225,7 @@ def score_segment_bounded(seg, adapter, cap: int = SUBWORD_CAP):
 
     Only the cap leftmost subwords are kept; words beyond them fail.
     """
-    return _realigned(seg, adapter, lambda: adapter.score(seg.text)[:cap])
+    return _realigned(seg, adapter, adapter.score(seg.text)[:cap])
 
 
 def _piece_spans(subs):
@@ -249,8 +245,9 @@ def _piece_spans(subs):
 
 
 def _window_scores(seg, adapter, window):
-    """The rescored SubwordScores of seg.text, or None on retokenization
-    drift.  Only the last subword of each window slice's response is read."""
+    """The rescored SubwordScores of seg.text.  Only the last subword of each
+    window slice's response is read; a slice whose response is empty or
+    ends in another subword (retokenization drift) raises AdapterError."""
     subs = SubwordScores.of(adapter.score(seg.text))
     text, starts, ends = _piece_spans(subs)
     surfaces = subs.surfaces
@@ -260,13 +257,11 @@ def _window_scores(seg, adapter, window):
         # first piece takes no leading space
         got = adapter.score(text[starts[i - window + 1]:ends[i]])
         if not got:
-            raise ValueError("adapter returned no subwords for window slice")
+            raise AdapterError(f"window slice for subword {i} scored no subwords")
         last = got[-1]
         if last.surface != surfaces[i]:
-            log.warning("adapter %s window slice ends in %r, not %r; "
-                        "segment retained with null bits",
-                        getattr(adapter, "name", adapter), last.surface, surfaces[i])
-            return None
+            raise AdapterError(f"window slice for subword {i} ends in "
+                               f"{last.surface!r}, not {surfaces[i]!r}")
         logprob2[i] = last.logprob2
     return SubwordScores(surfaces, logprob2, subs.begins_word, subs.is_punct_unit)
 
@@ -279,10 +274,9 @@ def score_sliding_window(seg, adapter, window: int = WINDOW):
     subword's log probability.  Earlier positions keep the plain scores, so
     segments at most window subwords long match score_segment_bounded
     exactly.  A slice whose last subword is not subword i (retokenization
-    drift) nulls the segment with note "window_drift", as an adapter error
-    does with "adapter_error".
+    drift) raises AdapterError, as a failing adapter raises its own error.
     """
-    return _realigned(seg, adapter, lambda: _window_scores(seg, adapter, window))
+    return _realigned(seg, adapter, _window_scores(seg, adapter, window))
 
 
 def score_mt(src_text: str, seg, adapter):
@@ -291,12 +285,12 @@ def score_mt(src_text: str, seg, adapter):
         return _all_failed(seg.words, note="empty_source")
     if not seg.text or not seg.text.strip():
         return _all_failed(seg.words, note="empty_target")
-    return _realigned(seg, adapter, lambda: adapter.score(src_text, seg.text))
+    return _realigned(seg, adapter, adapter.score(src_text, seg.text))
 
 
 def subword_bits(scored) -> list[float]:
     """Per-subword bits of the stream a scoring job's word bits came from,
-    for the subword-level mean; empty when the job failed."""
+    for the subword-level mean; empty for an MT job with an empty side."""
     return scored.subwords.bits() if scored.subwords is not None else []
 
 

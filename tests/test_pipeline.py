@@ -7,6 +7,7 @@ import random
 import re
 import threading
 
+import numpy as np
 import pytest
 
 from wordbits import pipeline
@@ -49,6 +50,26 @@ class Recording:
         def call(*args):
             self.calls.append((attr, args))
             return method(*args)
+        return call
+
+
+class Rewriting:
+    """Forwards to an adapter, except that one method's answers pass through
+    rewrite(answer, *args)."""
+
+    def __init__(self, inner, method, rewrite):
+        self.inner = inner
+        self.method = method
+        self.rewrite = rewrite
+        self.name = inner.name
+
+    def __getattr__(self, attr):
+        method = getattr(self.inner, attr)
+        if attr != self.method:
+            return method
+
+        def call(*args):
+            return self.rewrite(method(*args), *args)
         return call
 
 
@@ -233,6 +254,106 @@ def _mock_corpus(tmp_path):
     cfg = RunConfig(lpair="de-en", mode="sp")
     segments = pipeline.normalize_rows(pipeline.read_input_tsv(str(p)), cfg)
     return segments, cfg, pipeline.adapters_from_config(cfg, mock_fallback=True)
+
+
+def _hit(text):
+    """Whether text is a side of _mock_corpus's document 2, segment 1."""
+    return "2 mal 1" in text or "2 times 1" in text
+
+
+def _triples(answer, *texts):
+    return [tuple(sw)[:3] for sw in answer] if _hit(texts[-1]) else answer
+
+
+# role, method, rewrite of its answers in one segment, the vertical columns
+# and sidecar (side, key) that role fills there
+_UNREADABLE = {
+    "encoder-no-source-subwords": (
+        "encoder", "embed",
+        lambda answer, text, lang: [] if lang == "DE" and _hit(text) else answer,
+        ("aligned_word", "aligned_word_id"), ()),
+    "encoder-widths-16-and-8": (
+        "encoder", "embed",
+        lambda answer, text, lang: [(s, span, np.ones(16 if lang == "DE" else 8))
+                                    for s, span, _ in answer] if _hit(text) else answer,
+        ("aligned_word", "aligned_word_id"), ()),
+    "lm-3-tuples": ("lm_base", "score", _triples, ("srp_base_gpt2",),
+                    (("tgt", "base_gpt_avs_subw"),)),
+    "mt-3-tuples": ("mt_base", "score", _triples, ("srp_base_mt",),
+                    (("pair", "base_mt_avs_subw"),)),
+}
+
+
+@pytest.mark.parametrize("case", list(_UNREADABLE))
+def test_unreadable_output_nulls_only_its_role_in_its_segment(tmp_path, caplog, case):
+    role, method, rewrite, columns, keys = _UNREADABLE[case]
+    segments, cfg, adapters = _mock_corpus(tmp_path)
+    clean_rows, clean_sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    setattr(adapters, role, Rewriting(getattr(adapters, role), method, rewrite))
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    [warning] = caplog.records
+    assert f"adapter {getattr(adapters, role).name} failed, " in warning.getMessage()
+    hit = ("002", "01")
+    # the encoder fills both sides; an LM or MT role here only the target
+    langs = ("DE", "EN") if role == "encoder" else ("EN",)
+    want_rows = copy.deepcopy(clean_rows)
+    nulled = [r for r in want_rows if (r.doc_id, r.seg_id) == hit and r.lang in langs]
+    for column in columns:
+        assert any(getattr(r, column) is not None for r in nulled)
+        for r in nulled:
+            setattr(r, column, None)
+    assert rows == want_rows
+    want_sidecar = copy.deepcopy(clean_sidecar)
+    for rec in want_sidecar:
+        for side, key in keys:
+            if (rec["doc_id"], rec["seg_id"], rec["side"]) == hit + (side,):
+                assert rec[key] is not None
+                rec[key] = None
+    assert sidecar == want_sidecar
+
+
+@pytest.mark.parametrize("bad, error", [("x", "invalid literal for int()"),
+                                        ("2-1", "token range 2-1 is empty")])
+def test_unreadable_parser_id_keeps_token_only_rows(tmp_path, caplog, bad, error):
+    segments, cfg, adapters = _mock_corpus(tmp_path)
+    parser = adapters.parser
+
+    def bad_id(answer, text, lang):
+        if _hit(text) and lang == "EN":
+            answer[0][0] = answer[0][0]._replace(id=bad)
+        return answer
+
+    def failing(answer, text, lang):
+        if _hit(text) and lang == "EN":
+            raise AdapterError("injected annotate failure")
+        return answer
+
+    adapters.parser = Rewriting(parser, "annotate", failing)
+    want = pipeline.annotate_corpus(segments, cfg, adapters)
+    adapters.parser = Rewriting(parser, "annotate", bad_id)
+    caplog.clear()
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        got = pipeline.annotate_corpus(segments, cfg, adapters)
+    assert got == want
+    [warning] = caplog.records
+    assert warning.getMessage().startswith("parser mock-parser failed on 'Uh we go 2 times 1'")
+    assert error in warning.getMessage()
+
+
+def test_clean_run_fills_every_bleu_and_subword_mean(tmp_path, caplog):
+    """A bug in the code a failure guard wraps shows up as nulls: a clean run
+    logs no failure and leaves none of these values null."""
+    segments, cfg, adapters = _mock_corpus(tmp_path)
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        _rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    assert [r.getMessage() for r in caplog.records if " failed, " in r.getMessage()] == []
+    lm = ["base_gpt_avs_subw", "ft_gpt_avs_subw"]
+    keys = {"src": lm, "tgt": lm,
+            "pair": ["base_mt_avs_subw", "ft_mt_avs_subw", "base_bleu", "ft_bleu"]}
+    assert len(sidecar) == 18
+    for rec in sidecar:
+        assert None not in [rec[k] for k in keys[rec["side"]]], rec
 
 
 class _ThreadRecorder:

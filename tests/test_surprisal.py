@@ -6,6 +6,7 @@ from typing import NamedTuple
 import pytest
 
 from wordbits.adapters import (
+    AdapterError,
     MockCausalLM,
     MockMT,
     ReplayCausalLM,
@@ -129,17 +130,28 @@ def test_mt_gold_probability_one_scores_zero_bits():
     assert [w.bits for w in out] == [0.0, 0.0]
 
 
-def test_adapter_failure_keeps_segment_with_nulls():
+def test_adapter_failure_propagates_out_of_the_scorer():
+    """The pipeline's failure guard nulls a failed job; each scorer raises
+    what the adapter raised, and raises on answers it cannot read."""
     class Boom:
         name = "boom"
 
-        def score(self, text):
+        def score(self, *texts):
             raise RuntimeError("offline")
 
-    out = score_segment_bounded(Seg("a b", ["a", "b"]), Boom())
-    assert [w.bits for w in out] == [None, None]
-    assert all(w.recovery_rule == "failed" for w in out)
-    assert all(w.note == "adapter_error" for w in out)
+    class Triples:
+        name = "triples"
+
+        def score(self, *texts):
+            return [(w, -1.0, True) for w in texts[-1].split()]
+
+    seg = Seg("a b", ["a", "b"])
+    for adapter, error in ((Boom(), RuntimeError), (Triples(), TypeError)):
+        for score in (lambda: score_segment_bounded(seg, adapter),
+                      lambda: score_sliding_window(seg, adapter, window=1),
+                      lambda: score_mt("quelle", seg, adapter)):
+            with pytest.raises(error):
+                score()
 
 
 def test_cap_nulls_words_past_150_subwords():
@@ -358,16 +370,15 @@ class SliceLM:
         return [_sw("b", 1.0), _sw(self.slice_end, 9.0)]
 
 
-def test_window_drift_nulls_segment_with_note():
+def test_window_drift_raises_naming_both_surfaces():
     subs = [_sw("a", 1.0), _sw("b", 1.0), _sw("c", 1.0)]
     job = Seg("a b c", ["a", "b", "c"])
     kept = score_sliding_window(job, SliceLM("a b c", subs, "c"), window=2)
     assert [w.bits for w in kept] == [1.0, 1.0, 9.0]
 
-    drifted = score_sliding_window(job, SliceLM("a b c", subs, "x"), window=2)
-    assert len(drifted) == 3
-    assert all(w.bits is None and w.recovery_rule == "failed"
-               and w.note == "window_drift" for w in drifted)
+    with pytest.raises(AdapterError,
+                       match="^window slice for subword 2 ends in 'x', not 'c'$"):
+        score_sliding_window(job, SliceLM("a b c", subs, "x"), window=2)
 
 
 def test_failed_jobs_leave_no_subword_bits():
@@ -375,8 +386,8 @@ def test_failed_jobs_leave_no_subword_bits():
     job = Seg("a b c", ["a", "b", "c"])
     assert subword_bits(score_sliding_window(job, SliceLM("a b c", subs, "c"),
                                              window=2)) == [1.0, 1.0, 9.0]
-    assert subword_bits(score_sliding_window(job, SliceLM("a b c", subs, "x"),
-                                             window=2)) == []
+    with pytest.raises(AdapterError):
+        score_sliding_window(job, SliceLM("a b c", subs, "x"), window=2)
     assert subword_bits(score_mt("", job, MockMT())) == []
     assert subword_bits(score_mt("quelle", Seg(" ", ["x"]), MockMT())) == []
 
@@ -451,6 +462,14 @@ def _reference_units(subs):
     return units
 
 
+def _outcome(score, *args):
+    """score(*args), or the type and message of what it raised."""
+    try:
+        return score(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
 def test_scores_as_list_or_columns_score_the_same():
     rng = random.Random(31)
     # a group's words are written without spaces between them
@@ -458,6 +477,7 @@ def test_scores_as_list_or_columns_score_the_same():
              ("20",), ("%",), (",",), (".",), ("!?",), ("p.m.",), ("it's",),
              ("well-made",), ("Straße",), ("5", "%"), ("%", "."),
              (".", ".", ".")]
+    raised = 0
     for trial in range(300):
         groups = [rng.choice(vocab) for _ in range(rng.randint(0, 30))]
         words = [w for group in groups for w in group]
@@ -482,9 +502,14 @@ def test_scores_as_list_or_columns_score_the_same():
                 [max(0.0, -sw.logprob2) for sw in subs[:c]]
         window = rng.randint(1, 8)
         drifting = [_SeededScorer(trial, columns, drift=True) for columns in (False, True)]
-        assert score_sliding_window(seg, drifting[0], window) == \
-            score_sliding_window(seg, drifting[1], window)
+        outcomes = [_outcome(score_sliding_window, seg, scorer, window)
+                    for scorer in drifting]
+        assert outcomes[0] == outcomes[1]
+        raised += type(outcomes[0]) is tuple
         assert score_mt(src, seg, as_list) == score_mt(src, seg, as_columns)
+    # window rescoring raised in some trials (drift, or a slice scored no
+    # subwords) and kept its scores in others
+    assert 0 < raised < 300
 
 
 # --- aggregates and BLEU ---------------------------------------------------
