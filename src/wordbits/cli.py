@@ -4,13 +4,15 @@ Subcommands cover the pipeline stages (normalize, annotate, aggregate), the
 corpus builder (build, stats), and the two analyses (fp-analyze, gam).  Every
 output carries a provenance header (config hash, adapter identities, package
 version); nothing records wall-clock time, so identical inputs give
-byte-identical outputs.
+byte-identical outputs.  Warnings from the wordbits loggers go to stderr
+as "LEVEL logger: message" lines.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 from dataclasses import fields
@@ -301,12 +303,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # removed when the call returns, so repeated calls in one process do not
+    # stack handlers and none outlives the stderr it was given
+    handler = logging.StreamHandler(sys.stderr)
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    logger = logging.getLogger("wordbits")
+    logger.addHandler(handler)
     try:
         return args.func(args)
     except Exception as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record, ensure_ascii=False), file=sys.stderr)
         return 1
+    finally:
+        logger.removeHandler(handler)
 
 
 if __name__ == "__main__":

@@ -9,7 +9,10 @@ marginal likelihood, which also gives the AIC.  Within one fit, each
 penalized IRLS run of that search starts from the optimum of the run
 before it, whose penalty is close; the first starts cold, and nothing is
 kept between fits.  Group membership is kept as integer level codes, so no
-n x q indicator matrix is built.  Numpy/scipy only.
+n x q indicator matrix is built.  Numpy only at import: scipy.optimize is
+loaded by the variance search of a fit with random intercepts, so among the
+CLI's commands only fp-analyze (and gam, for its splines) loads scipy, and
+the corpus stages load numpy only.
 """
 
 from __future__ import annotations
@@ -17,12 +20,10 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, repeat
 from operator import attrgetter
 
 import numpy as np
-from scipy.optimize import minimize_scalar
-from scipy.stats import rankdata
 
 log = logging.getLogger(__name__)
 
@@ -207,14 +208,17 @@ def _linear_predictor(X, codes, beta, u):
     return X @ beta + sum(u[c] for c in codes)
 
 
-def _hessian(X, codes, w, d):
+def _hessian(X, codes, w, d, out=None):
     """Penalized Hessian [[X'WX, X'WZ], [Z'WX, Z'WZ + diag(d)]] of the joint
     (beta, u) problem, with Z given by its offset level codes.
 
     Z'WZ is diagonal within a factor; between two crossed factors it is the
-    w-weighted cross-tabulation of their codes."""
+    w-weighted cross-tabulation of their codes.  out, an array shaped like X,
+    receives WX: a fit passes one buffer to all its Newton steps, since a
+    fresh n x p array per step can cost a fresh memory mapping and its page
+    faults each time."""
     p, q = X.shape[1], d.size
-    Xw = X * w[:, None]
+    Xw = np.multiply(X, w[:, None], out=out)
     H = np.zeros((p + q, p + q))
     H[:p, :p] = X.T @ Xw
     H_bu, H_uu = H[:p, p:], H[p:, p:]
@@ -291,9 +295,9 @@ def _weights(eta):
     return mu, np.clip(mu * (1.0 - mu), 1e-10, None)
 
 
-def _pirls(X, y, codes, d, m, max_iter, tol, start=None):
+def _pirls(X, y, codes, d, m, max_iter, tol, start=None, scratch=None):
     """Joint damped Newton over (beta, u) at fixed penalty d; m is the
-    first factor's level count.
+    first factor's level count; scratch is _hessian's out.
 
     start is a (beta, u) to begin from, such as the optimum at a nearby
     penalty; without one the fit starts cold, at the marginal log-odds and
@@ -316,7 +320,7 @@ def _pirls(X, y, codes, d, m, max_iter, tol, start=None):
         resid = y - mu
         g_u = sum(np.bincount(c, weights=resid, minlength=q) for c in codes)
         grad = np.concatenate([X.T @ resid, g_u - d * u])
-        step = _Reduced(_hessian(X, codes, w, d), p, m).solve(grad)
+        step = _Reduced(_hessian(X, codes, w, d, scratch), p, m).solve(grad)
 
         trace.append(cur)
         scale = 1.0
@@ -338,13 +342,14 @@ def _pirls(X, y, codes, d, m, max_iter, tol, start=None):
     raise ConvergenceError(f"no convergence in {max_iter} iterations", trace)
 
 
-def _laplace_loglik(X, y, codes, d, m, beta, u):
+def _laplace_loglik(X, y, codes, d, m, beta, u, scratch=None):
     eta = _linear_predictor(X, codes, beta, u)
     _mu, w = _weights(eta)
     ll_data = float(np.sum(y * eta - _softplus(eta)))
     if not d.size:
         return ll_data
-    logdet_huu = _Reduced(_hessian(X, codes, w, d), X.shape[1], m).logdet_uu()
+    logdet_huu = _Reduced(_hessian(X, codes, w, d, scratch), X.shape[1],
+                          m).logdet_uu()
     return (ll_data - 0.5 * float(u @ (d * u))
             + 0.5 * float(np.sum(np.log(d))) - 0.5 * float(logdet_huu))
 
@@ -382,15 +387,18 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
         return np.repeat([1.0 / s2[f] for f in factors], sizes)
 
     start = None  # each PIRLS run starts at the previous run's optimum
+    scratch = np.empty_like(X)  # W X, rewritten by every Hessian build
 
     def profile(s2):
         nonlocal start
         d = d_vector(s2)
-        beta, u, _ = _pirls(X, y, codes, d, m, max_iter, tol, start)
+        beta, u, _ = _pirls(X, y, codes, d, m, max_iter, tol, start, scratch)
         start = beta, u
-        return _laplace_loglik(X, y, codes, d, m, beta, u), beta, u
+        return _laplace_loglik(X, y, codes, d, m, beta, u, scratch), beta, u
 
     if factors:
+        from scipy.optimize import minimize_scalar
+
         log_lo, log_hi = math.log(1e-8), math.log(1e3)
         for _sweep in range(8):
             previous = dict(sigma2)
@@ -412,7 +420,7 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
     mu, w = _weights(_linear_predictor(X, codes, beta, u))
 
     # standard errors from the beta block of the inverse penalized Hessian
-    cov = _Reduced(_hessian(X, codes, w, d), p, m).fixed_cov()
+    cov = _Reduced(_hessian(X, codes, w, d, scratch), p, m).fixed_cov()
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
     names = ("intercept",) + tuple(predictors)
@@ -440,9 +448,23 @@ def concordance(probs, outcomes) -> float:
     n0 = int((outcomes == 0).sum())
     if n1 == 0 or n0 == 0:
         raise ValueError("concordance needs both outcome classes")
-    ranks = rankdata(probs)  # average ranks handle ties
-    s = ranks[outcomes == 1].sum()
+    if np.isnan(probs).any():
+        return float("nan")  # no ranking, as rankdata propagates NaN
+    s = _average_ranks(probs)[outcomes == 1].sum()
     return float((s - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+
+
+def _average_ranks(values):
+    """1-based ranks with each tie group given the mean of its ranks, as
+    scipy.stats.rankdata's default; the ranks are exact halves."""
+    order = np.argsort(values, kind="mergesort")
+    ordered = values[order]
+    starts = np.r_[True, ordered[1:] != ordered[:-1]]
+    bounds = np.r_[np.flatnonzero(starts), values.size]  # each group's start, then n
+    group = np.cumsum(starts) - 1
+    ranks = np.empty(values.size)
+    ranks[order] = 0.5 * (bounds[group] + bounds[group + 1] + 1)
+    return ranks
 
 
 def compare_models(fit_a: FitResult, fit_b: FitResult) -> dict:
@@ -473,11 +495,12 @@ def simulate_observations(n: int, beta, group_sd: float = 0.3,
     u = rng.normal(scale=group_sd, size=n_groups)
     eta = beta[0] + Xs @ beta[1:] + u[groups]
     y = (rng.random(n) < _sigmoid(eta)).astype(int)
-    labels = [(f"spk{g:03d}", f"{g % 7:03d}") for g in range(n_groups)]
-    out = []
-    # FPObservation's predictor fields follow PREDICTORS, in order
-    for row, outcome, g in zip(Xs.tolist(), y.tolist(), groups.tolist()):
-        speaker, doc = labels[g]
-        out.append(FPObservation(outcome, *row, speaker_id=speaker, doc_id=doc,
-                                 direction=direction))
-    return out
+    speakers = [f"spk{g:03d}" for g in range(n_groups)]
+    docs = [f"{g % 7:03d}" for g in range(n_groups)]
+    codes = groups.tolist()
+    # FPObservation's fields in order: the outcome, the PREDICTORS, then the
+    # labels.  Built from columns, with no list per row: that halves the
+    # objects the garbage collector tracks while the sample is built.
+    return list(map(FPObservation, y.tolist(), *Xs.T.tolist(),
+                    [speakers[c] for c in codes], [docs[c] for c in codes],
+                    repeat(direction, n)))

@@ -5,13 +5,14 @@ The penalty is the sum of squared second divided differences of the spline
 coefficients taken over the Greville abscissae, so its null space is exactly
 the coefficient patterns that make the spline a straight line in x.  As
 lambda grows the fit therefore collapses to the ordinary least-squares line.
+scipy.interpolate is loaded by the calls that build a design matrix, not at
+import.
 """
 
 from __future__ import annotations
 
 import numpy as np
 from dataclasses import dataclass, field
-from scipy.interpolate import BSpline
 
 N_SPLINES = 5
 DEGREE = 3
@@ -30,6 +31,8 @@ class GamFit:
     x_range: tuple = (0.0, 1.0)
 
     def design(self, x) -> np.ndarray:
+        from scipy.interpolate import BSpline
+
         x = np.clip(np.asarray(x, dtype=float), *self.x_range)
         return BSpline.design_matrix(x, self.knots, DEGREE).toarray()
 
@@ -101,6 +104,8 @@ def fit_gam(x, y, n_splines: int = N_SPLINES, lambda_grid=None) -> GamFit:
         raise ValueError("degenerate x range")
     if lambda_grid is None:
         lambda_grid = np.logspace(-3.0, 3.0, 11)
+
+    from scipy.interpolate import BSpline
 
     t = _knot_vector(lo, hi, n_splines)
     B = BSpline.design_matrix(x, t, DEGREE).toarray()

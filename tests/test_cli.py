@@ -428,3 +428,28 @@ def test_gam_subcommand(tmp_path):
     assert len(body) - 1 == 60
     first = [float(v) for v in body[1].split("\t")]
     assert first[2] <= first[1] <= first[3]
+
+
+def test_warnings_print_level_and_logger_once_per_call(tmp_path, capfd):
+    """A mock run whose alignments cross commas warns through one handler
+    that names level and logger; a second main() in the same process prints
+    the same lines again, not twice over."""
+    (tmp_path / "input.tsv").write_text(
+        "doc_id\tseg_id\tsrc_speaker_id\ttgt_speaker_id\tsrc_raw\ttgt_raw\n"
+        "30\t21\tfDE1\tfEN3\tbegonnen ist, guten Absichten leider\t"
+        "it is all, euh hm euh very well-intended. / But, there is\n",
+        encoding="utf-8")
+    common = ["--output-dir", str(tmp_path), "--mode", "sp"]
+    assert main(["normalize", "--input", str(tmp_path / "input.tsv")] + common) == 0
+    capfd.readouterr()
+    annotate = ["annotate", "--mock", "--input", str(tmp_path / "clean.jsonl.gz")]
+    errs = []
+    for _ in range(2):
+        assert main(annotate + common) == 0
+        errs.append(capfd.readouterr().err.splitlines())
+    assert errs[0] == errs[1]
+    assert errs[0] == [
+        "WARNING wordbits.pipeline: comma inside aligned surface, 1 alignments "
+        "nulled, first for ORG_SP_DE_EN_030-21:003",
+        "WARNING wordbits.pipeline: comma inside aligned surface, 2 alignments "
+        "nulled, first for SI_DE_EN_030-21:004"]

@@ -210,6 +210,23 @@ def test_concordance_matches_brute_force():
     assert fast == pytest.approx(num / den, abs=1e-9)
 
 
+@pytest.mark.parametrize("ties", [False, True])
+def test_concordance_equals_rankdata_formula(ties):
+    """Average ranks from numpy give the same C, bit for bit, as the rank
+    sum over scipy.stats.rankdata."""
+    from scipy.stats import rankdata
+
+    rng = np.random.default_rng(29)
+    probs = rng.choice(np.linspace(0.0, 1.0, 9), size=300) if ties else rng.random(300)
+    outcomes = (rng.random(300) < 0.3).astype(int)
+    assert (np.unique(probs).size < probs.size) == ties
+    n1 = int(outcomes.sum())
+    n0 = outcomes.size - n1
+    s = rankdata(probs)[outcomes == 1].sum()
+    assert concordance(probs, outcomes) == float((s - n1 * (n1 + 1) / 2.0) / (n1 * n0))
+    assert math.isnan(concordance(np.r_[np.nan, probs[1:]], outcomes))
+
+
 def test_concordance_invariant_under_monotone_transform():
     rng = np.random.default_rng(13)
     probs = rng.random(150)
