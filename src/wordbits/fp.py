@@ -9,7 +9,12 @@ marginal likelihood, which also gives the AIC.  Within one fit, each
 penalized IRLS run of that search starts from the optimum of the run
 before it, whose penalty is close; the first starts cold, and nothing is
 kept between fits.  Group membership is kept as integer level codes, so no
-n x q indicator matrix is built.  Numpy only at import: scipy.optimize is
+n x q indicator matrix is built.  Each fit sorts its observations stably by
+the first factor's level and keeps the design transposed (p x n), so that
+factor's sums are one np.add.reduceat over contiguous runs, and the
+Hessian is handed on as blocks with that factor's diagonal block
+eliminated in closed form; the fitted values are returned in input order.
+Numpy only at import: scipy.optimize is
 loaded by the variance search of a fit with random intercepts, so among the
 CLI's commands only fp-analyze (and gam, for its splines) loads scipy, and
 the corpus stages load numpy only.
@@ -154,20 +159,19 @@ def _sigmoid(eta):
     return 0.5 * (1.0 + np.tanh(0.5 * eta))
 
 
-def _check_separation(X, y, names):
+def _check_separation(Xt, y, names):
     pos = y == 1
-    for j, name in enumerate(names):
-        col = X[:, j]
-        a, b = col[pos], col[~pos]
+    for row, name in zip(Xt, names):
+        a, b = row[pos], row[~pos]
         if a.size and b.size and (a.min() > b.max() or a.max() < b.min()):
             raise SeparationError(name)
 
 
 def _group_codes(factor, labels, offset):
     """Sorted levels of one grouping factor and each observation's level
-    code, offset by the levels of the factors before it so the codes index
-    the joint random-effects vector u directly: Z @ u is a gather and
-    Z' @ v a bincount, and the n x q indicator matrix Z is never formed."""
+    code plus offset, so that the codes index the factor's part of the
+    random-effects vector directly (see _Design.codes) and no n x q
+    indicator matrix is formed."""
     missing = labels.count(None)
     if missing:
         raise ValueError(f"random intercept {factor!r}: {missing} of "
@@ -177,9 +181,55 @@ def _group_codes(factor, labels, offset):
     return np.array([index[g] for g in labels], dtype=np.intp), levels
 
 
+@dataclass
+class _Design:
+    """The data of one fit, its observations stably sorted by the first
+    factor's level, so that each of that factor's levels is one run of
+    consecutive observations.
+
+    Xt is the design transposed, p x n and C-contiguous, intercept row
+    first: every per-observation product runs along a contiguous row.  y
+    and codes are in the same order, and order[i] is the input index of
+    sorted observation i.  codes holds one array per factor: the first
+    factor's level codes, then the other factors' codes offset into the
+    random effects that follow the first factor's (u[m:]).  starts and
+    counts are the first factor's runs; sizes the factors' level counts."""
+    Xt: np.ndarray
+    y: np.ndarray
+    order: np.ndarray
+    codes: list
+    sizes: list
+    starts: np.ndarray
+    counts: np.ndarray
+
+    @property
+    def m(self):
+        """Levels of the first factor, the one eliminated in closed form."""
+        return self.sizes[0] if self.sizes else 0
+
+    def z(self, u):
+        """Z @ u: the first factor's effects repeated over their runs,
+        gathers for the other factors."""
+        m = self.m
+        if not m:
+            return 0.0
+        return sum((u[m:][c] for c in self.codes[1:]),
+                   np.repeat(u[:m], self.counts))
+
+    def zt(self, v):
+        """Z' @ v: sums over the first factor's runs, bincounts for the
+        other factors."""
+        m, q = self.m, sum(self.sizes)
+        out = np.zeros(q)
+        out[:m] = np.add.reduceat(v, self.starts)
+        for c in self.codes[1:]:
+            out[m:] += np.bincount(c, weights=v, minlength=q - m)
+        return out
+
+
 def _design(data, predictors, factors):
-    """X (intercept first), y, and per factor its offset level codes and
-    level count.
+    """The _Design of a fit: the outcome, the predictors after an intercept
+    and each factor's level codes.
 
     The numbers stream straight into one float array, one observation at a
     time, so no per-observation tuple outlives its row: a table of n live
@@ -192,82 +242,102 @@ def _design(data, predictors, factors):
     values = map(attrgetter(*names), data)
     if predictors:  # attrgetter of several names gives tuples, of one the value
         values = chain.from_iterable(values)
-    X = np.fromiter(values, float, len(data) * len(names)).reshape(len(data), len(names))
-    y = X[:, 0].copy()
-    X[:, 0] = 1.0  # the intercept column
+    n = len(data)
+    X = np.fromiter(values, float, n * len(names)).reshape(n, len(names))
     codes, sizes = [], []
     for factor in factors:
         labels = list(map(attrgetter(factor), data))
-        c, levels = _group_codes(factor, labels, sum(sizes))
+        c, levels = _group_codes(factor, labels, sum(sizes[1:]))
         codes.append(c)
         sizes.append(len(levels))
-    return X, y, codes, sizes
+    order = np.argsort(codes[0], kind="stable") if codes else np.arange(n)
+    Xt = X.T.take(order, axis=1)  # a fresh C-contiguous p x n array
+    del X  # freed before the arrays below are allocated
+    y = Xt[0].copy()
+    Xt[0] = 1.0  # the intercept row
+    codes = [c[order] for c in codes]
+    counts = np.bincount(codes[0]) if codes else np.zeros(0, np.intp)
+    starts = np.cumsum(counts) - counts
+    return _Design(Xt, y, order, codes, sizes, starts, counts)
 
 
-def _linear_predictor(X, codes, beta, u):
-    return X @ beta + sum(u[c] for c in codes)
+def _linear_predictor(design, beta, u):
+    return beta @ design.Xt + design.z(u)
 
 
-def _hessian(X, codes, w, d, out=None):
-    """Penalized Hessian [[X'WX, X'WZ], [Z'WX, Z'WZ + diag(d)]] of the joint
-    (beta, u) problem, with Z given by its offset level codes.
+def _hessian(design, w, d, out=None):
+    """Blocks of the penalized Hessian H = [[X'WX, X'WZ], [Z'WX, Z'WZ + D_d]]
+    of the joint (beta, u) problem, D_d = diag(d), split at the first
+    factor's levels a from the rest r, the fixed effects then the other
+    factors' levels: (H_rr, H_ra, D), with D the diagonal of H_aa.
 
-    Z'WZ is diagonal within a factor; between two crossed factors it is the
-    w-weighted cross-tabulation of their codes.  out, an array shaped like X,
-    receives WX: a fit passes one buffer to all its Newton steps, since a
-    fresh n x p array per step can cost a fresh memory mapping and its page
-    faults each time."""
-    p, q = X.shape[1], d.size
-    Xw = np.multiply(X, w[:, None], out=out)
-    H = np.zeros((p + q, p + q))
-    H[:p, :p] = X.T @ Xw
-    H_bu, H_uu = H[:p, p:], H[p:, p:]
-    diag = d.copy()
-    for k, c in enumerate(codes):
+    Z'WZ is diagonal within a factor, so H_aa is diag(D); with the
+    observations in runs of the first factor, D and X'WZ_a (p x m) are
+    np.add.reduceat sums of w and of W X' over the runs.  With one factor
+    H_rr is X'WX alone, p x p.  Crossed factors add the other factors'
+    levels to the dense H_rr: bincounts for X'WZ_r and its diagonal, and
+    w-weighted cross-tabulations of the codes for Z_r'WZ_a and between two
+    other factors.  out, an array shaped like Xt, receives W X': a fit
+    passes one buffer to all its Newton steps, since a fresh p x n array
+    per step can cost a fresh memory mapping and its page faults each time."""
+    Xt, m, q = design.Xt, design.m, d.size
+    p, k = Xt.shape[0], q - m  # k: levels of the other factors
+    WXt = np.multiply(Xt, w, out=out)
+    XtWX = WXt @ Xt.T
+    H_ra = np.add.reduceat(WXt, design.starts, axis=1)
+    D = np.add.reduceat(w, design.starts) + d[:m]
+    if not k:
+        return XtWX, H_ra, D
+    first, others = design.codes[0], design.codes[1:]
+    H_rr = np.zeros((p + k, p + k))
+    H_rr[:p, :p] = XtWX
+    H_xr, H_uu = H_rr[:p, p:], H_rr[p:, p:]
+    H_ra = np.concatenate([H_ra, np.zeros((k, m))])
+    diag = d[m:].copy()
+    for i, c in enumerate(others):
         for j in range(p):
-            H_bu[j] += np.bincount(c, weights=Xw[:, j], minlength=q)
-        diag += np.bincount(c, weights=w, minlength=q)
-        for c2 in codes[k + 1:]:
-            cross = np.bincount(c * q + c2, weights=w,
-                                minlength=q * q).reshape(q, q)
+            H_xr[j] += np.bincount(c, weights=WXt[j], minlength=k)
+        diag += np.bincount(c, weights=w, minlength=k)
+        H_ra[p:] += np.bincount(c * m + first, weights=w,
+                                minlength=k * m).reshape(k, m)
+        for c2 in others[i + 1:]:
+            cross = np.bincount(c * k + c2, weights=w,
+                                minlength=k * k).reshape(k, k)
             H_uu += cross + cross.T
-    H_uu[np.diag_indices(q)] += diag
-    H[p:, :p] = H_bu.T
-    return H
+    H_uu[np.diag_indices(k)] += diag
+    H_rr[p:, :p] = H_xr.T
+    return H_rr, H_ra, D
 
 
 class _Reduced:
-    """The penalized Hessian H with the first factor's levels eliminated.
+    """The penalized Hessian with the first factor's levels eliminated,
+    from _hessian's blocks (H_rr, H_ra, D).
 
-    Within one factor Z'WZ is diagonal, so that block D is eliminated in
-    closed form.  What remains is the Schur complement
-    S = H_rr - H_ra D^-1 H_ar over the fixed effects and the other factors'
-    levels: p x p for one factor, where H is (p+q) x (p+q).  Solves with H,
-    log det of its random-effects block and the fixed-effects block of H^-1
-    all come from S.  LAPACK runs its (p+q)-square factorizations on
-    several threads, whose workers spin between Newton steps and make the
-    fit's wall time depend on what else the machine runs; the small S is
-    factored on the calling thread alone."""
+    H_aa = diag(D) is eliminated in closed form.  What remains is the Schur
+    complement S = H_rr - H_ra D^-1 H_ar over the fixed effects and the
+    other factors' levels: p x p for one factor, where H is (p+q) x (p+q).
+    Solves with H, log det of its random-effects block and the
+    fixed-effects block of H^-1 all come from S.  LAPACK runs its
+    (p+q)-square factorizations on several threads, whose workers spin
+    between Newton steps and make the fit's wall time depend on what else
+    the machine runs; the small S is factored on the calling thread alone."""
 
-    def __init__(self, H, p, m):
-        a = slice(p, p + m)
-        self.p, self.a = p, a
-        self.keep = np.r_[0:p, p + m:H.shape[0]]
-        self.D = np.diagonal(H)[a].copy()
-        self.B = H[self.keep, a]
-        self.S = H[np.ix_(self.keep, self.keep)] - (self.B / self.D) @ self.B.T
+    def __init__(self, blocks, p):
+        H_rr, self.B, self.D = blocks
+        self.p, self.m = p, self.D.size
+        self.S = H_rr - (self.B / self.D) @ self.B.T
 
     def solve(self, g):
-        g_a = g[self.a] / self.D
-        rhs = g[self.keep] - self.B @ g_a
+        """H^-1 g, for g ordered (beta, u)."""
+        p, m = self.p, self.m
+        g_a = g[p:p + m] / self.D
+        rhs = np.concatenate([g[:p], g[p + m:]]) - self.B @ g_a
         try:
             x_r = np.linalg.solve(self.S, rhs)
         except np.linalg.LinAlgError:
             x_r = np.linalg.lstsq(self.S, rhs, rcond=None)[0]
-        x = np.empty_like(g)
-        x[self.keep] = x_r
-        x[self.a] = g_a - (self.B.T @ x_r) / self.D
-        return x
+        return np.concatenate([x_r[:p], g_a - (self.B.T @ x_r) / self.D,
+                               x_r[p:]])
 
     def logdet_uu(self):
         """log det of the random-effects block H[p:, p:]."""
@@ -295,39 +365,38 @@ def _weights(eta):
     return mu, np.clip(mu * (1.0 - mu), 1e-10, None)
 
 
-def _pirls(X, y, codes, d, m, max_iter, tol, start=None, scratch=None):
-    """Joint damped Newton over (beta, u) at fixed penalty d; m is the
-    first factor's level count; scratch is _hessian's out.
+def _pirls(design, d, max_iter, tol, start=None, scratch=None):
+    """Joint damped Newton over (beta, u) at fixed penalty d; scratch is
+    _hessian's out.
 
     start is a (beta, u) to begin from, such as the optimum at a nearby
     penalty; without one the fit starts cold, at the marginal log-odds and
     u = 0.  Each accepted line-search point carries its linear predictor
     and penalized log-likelihood into the next iteration."""
-    p = X.shape[1]
-    q = d.size
+    y = design.y
+    p = design.Xt.shape[0]
     if start is None:
         beta = np.zeros(p)
         pbar = min(max(float(y.mean()), 1e-9), 1.0 - 1e-9)
         beta[0] = math.log(pbar / (1.0 - pbar))
-        u = np.zeros(q)
+        u = np.zeros(d.size)
     else:
         beta, u = start
-    eta = _linear_predictor(X, codes, beta, u)
+    eta = _linear_predictor(design, beta, u)
     cur = _penalized_loglik(y, eta, u, d)
     trace = []
     for _ in range(max_iter):
         mu, w = _weights(eta)
         resid = y - mu
-        g_u = sum(np.bincount(c, weights=resid, minlength=q) for c in codes)
-        grad = np.concatenate([X.T @ resid, g_u - d * u])
-        step = _Reduced(_hessian(X, codes, w, d, scratch), p, m).solve(grad)
+        grad = np.concatenate([design.Xt @ resid, design.zt(resid) - d * u])
+        step = _Reduced(_hessian(design, w, d, scratch), p).solve(grad)
 
         trace.append(cur)
         scale = 1.0
         for halvings in range(31):
             nb = beta + scale * step[:p]
             nu = u + scale * step[p:]
-            eta = _linear_predictor(X, codes, nb, nu)
+            eta = _linear_predictor(design, nb, nu)
             new = _penalized_loglik(y, eta, nu, d)
             # after 30 halvings the smallest step is taken anyway
             if new >= cur - 1e-12 or halvings == 30:
@@ -342,14 +411,14 @@ def _pirls(X, y, codes, d, m, max_iter, tol, start=None, scratch=None):
     raise ConvergenceError(f"no convergence in {max_iter} iterations", trace)
 
 
-def _laplace_loglik(X, y, codes, d, m, beta, u, scratch=None):
-    eta = _linear_predictor(X, codes, beta, u)
+def _laplace_loglik(design, d, beta, u, scratch=None):
+    eta = _linear_predictor(design, beta, u)
     _mu, w = _weights(eta)
-    ll_data = float(np.sum(y * eta - _softplus(eta)))
+    ll_data = float(np.sum(design.y * eta - _softplus(eta)))
     if not d.size:
         return ll_data
-    logdet_huu = _Reduced(_hessian(X, codes, w, d, scratch), X.shape[1],
-                          m).logdet_uu()
+    logdet_huu = _Reduced(_hessian(design, w, d, scratch),
+                          design.Xt.shape[0]).logdet_uu()
     return (ll_data - 0.5 * float(u @ (d * u))
             + 0.5 * float(np.sum(np.log(d))) - 0.5 * float(logdet_huu))
 
@@ -374,27 +443,31 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
     if unknown:
         raise ValueError(f"unknown random-intercept factor(s) {unknown}; "
                          f"grouping fields are {', '.join(GROUPING_FIELDS)}")
-    X, y, codes, sizes = _design(data, predictors, factors)
+    repeated = sorted({f for f in factors if factors.count(f) > 1})
+    if repeated:
+        raise ValueError(f"random-intercept factor(s) {repeated} named "
+                         f"more than once")
+    design = _design(data, predictors, factors)
+    y = design.y
     if y.min() == y.max():
         raise ValueError("outcomes are single-class")
-    _check_separation(X[:, 1:], y, predictors)
+    _check_separation(design.Xt[1:], y, predictors)
 
-    p = X.shape[1]
-    m = sizes[0] if sizes else 0  # levels of the factor eliminated first
+    p = design.Xt.shape[0]
     sigma2 = {f: 1.0 for f in factors}
 
     def d_vector(s2):
-        return np.repeat([1.0 / s2[f] for f in factors], sizes)
+        return np.repeat([1.0 / s2[f] for f in factors], design.sizes)
 
     start = None  # each PIRLS run starts at the previous run's optimum
-    scratch = np.empty_like(X)  # W X, rewritten by every Hessian build
+    scratch = np.empty_like(design.Xt)  # W X', rewritten by every Hessian build
 
     def profile(s2):
         nonlocal start
         d = d_vector(s2)
-        beta, u, _ = _pirls(X, y, codes, d, m, max_iter, tol, start, scratch)
+        beta, u, _ = _pirls(design, d, max_iter, tol, start, scratch)
         start = beta, u
-        return _laplace_loglik(X, y, codes, d, m, beta, u, scratch), beta, u
+        return _laplace_loglik(design, d, beta, u, scratch), beta, u
 
     if factors:
         from scipy.optimize import minimize_scalar
@@ -417,12 +490,14 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
 
     d = d_vector(sigma2)
     loglik, beta, u = profile(sigma2)
-    mu, w = _weights(_linear_predictor(X, codes, beta, u))
+    mu, w = _weights(_linear_predictor(design, beta, u))
 
     # standard errors from the beta block of the inverse penalized Hessian
-    cov = _Reduced(_hessian(X, codes, w, d, scratch), p, m).fixed_cov()
+    cov = _Reduced(_hessian(design, w, d, scratch), p).fixed_cov()
     se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
 
+    fitted = np.empty_like(mu)
+    fitted[design.order] = mu  # back in input order
     names = ("intercept",) + tuple(predictors)
     k_params = p + len(factors)
     aic = 2.0 * k_params - 2.0 * loglik
@@ -435,7 +510,7 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
         loglik=loglik,
         variances=dict(sigma2),
         predictors=tuple(predictors),
-        fitted=mu,
+        fitted=fitted,
     )
 
 

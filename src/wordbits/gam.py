@@ -11,6 +11,8 @@ import.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from dataclasses import dataclass, field
 
@@ -77,9 +79,16 @@ def _second_diff_penalty(xi: np.ndarray) -> np.ndarray:
 
 
 def gcv_score(B, y, P, lam: float):
-    BtB = B.T @ B
+    """(GCV score, coefficients, residual sum of squares, effective degrees
+    of freedom) of the penalized fit at one lambda."""
+    return _gcv_score(B, y, P, lam, B.T @ B, B.T @ y)
+
+
+def _gcv_score(B, y, P, lam, BtB, Bty):
+    """gcv_score with B'B and B'y given, so that a grid search forms them
+    once."""
     A = BtB + lam * P
-    coef = np.linalg.solve(A, B.T @ y)
+    coef = np.linalg.solve(A, Bty)
     resid = y - B @ coef
     rss = float(resid @ resid)
     edf = float(np.trace(np.linalg.solve(A, BtB)))
@@ -91,8 +100,17 @@ def gcv_score(B, y, P, lam: float):
 def fit_gam(x, y, n_splines: int = N_SPLINES, lambda_grid=None) -> GamFit:
     """Grid-searched penalized spline regression of y on x.
 
-    Requires at least 50 paired finite samples and a non-degenerate x range.
+    Requires at least 50 paired finite samples, a non-degenerate x range
+    and a non-empty lambda_grid of finite, non-negative values.
     """
+    if lambda_grid is None:
+        lambda_grid = np.logspace(-3.0, 3.0, 11)
+    lambda_grid = [float(lam) for lam in lambda_grid]
+    if not lambda_grid:
+        raise ValueError("empty lambda_grid")
+    bad = [lam for lam in lambda_grid if not (math.isfinite(lam) and lam >= 0.0)]
+    if bad:
+        raise ValueError(f"lambda_grid values must be finite and >= 0, got {bad}")
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     ok = np.isfinite(x) & np.isfinite(y)
@@ -102,27 +120,25 @@ def fit_gam(x, y, n_splines: int = N_SPLINES, lambda_grid=None) -> GamFit:
     lo, hi = float(x.min()), float(x.max())
     if hi - lo < 1e-12:
         raise ValueError("degenerate x range")
-    if lambda_grid is None:
-        lambda_grid = np.logspace(-3.0, 3.0, 11)
 
     from scipy.interpolate import BSpline
 
     t = _knot_vector(lo, hi, n_splines)
     B = BSpline.design_matrix(x, t, DEGREE).toarray()
     P = _second_diff_penalty(_greville(t, n_splines))
+    BtB, Bty = B.T @ B, B.T @ y
 
     best = None
     for lam in lambda_grid:
-        score, coef, rss, edf = gcv_score(B, y, P, float(lam))
+        score, coef, rss, edf = _gcv_score(B, y, P, lam, BtB, Bty)
         if best is None or score < best[0]:
-            best = (score, float(lam), coef, rss, edf)
+            best = (score, lam, coef, rss, edf)
     gcv, lam, coef, rss, edf = best
 
     tss = float(((y - y.mean()) ** 2).sum())
     pseudo_r2 = 1.0 - rss / tss if tss > 0 else 0.0
     sigma2 = rss / max(len(y) - edf, 1e-8)
-    A = B.T @ B + lam * P
-    Ainv = np.linalg.inv(A)
-    cov = sigma2 * (Ainv @ (B.T @ B) @ Ainv)
+    Ainv = np.linalg.inv(BtB + lam * P)
+    cov = sigma2 * (Ainv @ BtB @ Ainv)
     return GamFit(knots=t, coef=coef, lam=lam, pseudo_r2=pseudo_r2, gcv=gcv,
                   edf=edf, sigma2=sigma2, cov=cov, x_range=(lo, hi))

@@ -396,6 +396,14 @@ def test_fp_analyze_unknown_factor_lists_grouping_fields(tmp_path, capsys):
     assert not (tmp_path / "fp_model.tsv.gz").exists()
 
 
+def test_fp_analyze_repeated_factor_writes_no_model(tmp_path, capsys):
+    assert _fp_analyze(tmp_path, "--random-intercepts", "speaker_id,speaker_id") == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    assert "'speaker_id'" in record["message"] and "more than once" in record["message"]
+    assert not (tmp_path / "fp_model.tsv.gz").exists()
+
+
 def test_gam_subcommand(tmp_path):
     rng = random.Random(7)
     longs, wides = [], []

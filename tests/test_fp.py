@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import random
 
 import numpy as np
 import pytest
@@ -114,6 +115,12 @@ def test_missing_group_label_names_factor_and_count():
         o.speaker_id = None
     with pytest.raises(ValueError, match=r"'speaker_id': 3 of 200 observations"):
         fit_logistic(data)
+
+
+def test_repeated_factor_rejected():
+    data = simulate_observations(200, (-1.0, 0.4, 0, 0, 0, 0, 0), seed=4)
+    with pytest.raises(ValueError, match=r"\['speaker_id'\] named more than once"):
+        fit_logistic(data, random_intercepts=("speaker_id", "doc_id", "speaker_id"))
 
 
 def test_single_class_outcomes_rejected():
@@ -397,26 +404,91 @@ PINNED_FITS = {
 }
 
 
+def _dense_reference(data, factors):
+    """X (intercept column first) and the n x q indicator matrix Z that the
+    fit's level codes stand for, in input order, from the observations'
+    fields and each factor's sorted labels."""
+    X = np.array([[1.0] + [getattr(o, name) for name in PREDICTORS] for o in data])
+    Z = np.zeros((len(data), 0))
+    for factor in factors:
+        levels = sorted({getattr(o, factor) for o in data})
+        Z = np.hstack([Z, [[getattr(o, factor) == g for g in levels] for o in data]])
+    return X, Z
+
+
+def _dense_hessian(X, Z, w, d):
+    Xw = X * w[:, None]
+    return np.block([[X.T @ Xw, Xw.T @ Z],
+                     [Z.T @ Xw, Z.T @ (Z * w[:, None]) + np.diag(d)]])
+
+
+def _check_against_dense_reference(data, factors, seed):
+    """_design's sorted, transposed layout and _hessian's blocks against the
+    dense indicator algebra over the unsorted observations."""
+    design = fp._design(data, PREDICTORS, factors)
+    X, Z = _dense_reference(data, factors)
+    (n, p), q, m = X.shape, Z.shape[1], design.m
+    order = design.order
+    assert design.Xt.flags.c_contiguous and design.Xt.shape == (p, n)
+    np.testing.assert_array_equal(design.Xt, X[order].T)
+    np.testing.assert_array_equal(design.y, [data[i].outcome for i in order])
+    assert design.sizes == [len({getattr(o, f) for o in data}) for f in factors]
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(0.05, 0.25, n)  # in input order
+    d = rng.uniform(0.5, 3.0, q)
+    H = _dense_hessian(X, Z, w, d)
+    rest, a = np.r_[0:p, p + m:p + q], slice(p, p + m)
+    H_rr, H_ra, D = fp._hessian(design, w[order], d)
+    np.testing.assert_allclose(H_rr, H[np.ix_(rest, rest)], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(H_ra, H[rest, a], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(np.diag(D), H[a, a], rtol=1e-12, atol=1e-12)
+    beta, u, v = rng.normal(size=p), rng.normal(size=q), rng.normal(size=n)
+    np.testing.assert_allclose(fp._linear_predictor(design, beta, u),
+                               (X @ beta + Z @ u)[order], rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(design.zt(v[order]), Z.T @ v,
+                               rtol=1e-12, atol=1e-12)
+    return design
+
+
 def test_hessian_matches_dense_indicator_reference():
     data = simulate_observations(300, FIT_BETA, n_groups=12, seed=2)
-    X, y, codes, sizes = fp._design(data, PREDICTORS, ("speaker_id", "doc_id"))
-    n, q = len(y), sum(sizes)
-    assert sizes == [len({o.speaker_id for o in data}), len({o.doc_id for o in data})]
-    Z = np.zeros((n, q))  # the indicator matrix the codes stand for
-    for c in codes:
-        Z[np.arange(n), c] = 1.0
-    rng = np.random.default_rng(0)
-    w = rng.uniform(0.05, 0.25, n)
-    d = rng.uniform(0.5, 3.0, q)
-    beta = rng.normal(size=X.shape[1])
-    u = rng.normal(size=q)
-    Xw = X * w[:, None]
-    dense = np.block([[X.T @ Xw, Xw.T @ Z],
-                      [Z.T @ Xw, Z.T @ (Z * w[:, None]) + np.diag(d)]])
-    np.testing.assert_allclose(fp._hessian(X, codes, w, d), dense,
-                               rtol=1e-12, atol=1e-12)
-    np.testing.assert_allclose(fp._linear_predictor(X, codes, beta, u),
-                               X @ beta + Z @ u, rtol=1e-12, atol=1e-12)
+    _check_against_dense_reference(data, ("speaker_id", "doc_id"), seed=0)
+
+
+def _shuffled(data):
+    random.Random(5).shuffle(data)
+    return data
+
+
+def _solo_level(data):
+    data[7].speaker_id = "solo"  # a level with a single observation
+    return data
+
+
+@pytest.mark.parametrize("case, factors", [
+    (_shuffled, ("speaker_id", "doc_id")),
+    (_shuffled, ("doc_id", "speaker_id", "direction")),
+    (_solo_level, ("speaker_id",)),
+    (_solo_level, ("speaker_id", "doc_id")),
+    # direction has one level in simulated data: a first factor of one run
+    (_shuffled, ("direction",)),
+    (_shuffled, ("direction", "speaker_id")),
+], ids=lambda v: "+".join(v) if isinstance(v, tuple) else v.__name__.strip("_"))
+def test_hessian_blocks_match_dense_reference_on_edge_designs(case, factors):
+    data = case(simulate_observations(300, FIT_BETA, n_groups=12, seed=2))
+    design = _check_against_dense_reference(data, factors, seed=3)
+    if case is _solo_level:
+        assert design.counts.min() == 1
+    assert (design.m == 1) == (factors[0] == "direction")
+
+
+@pytest.mark.parametrize("factors", [("speaker_id",), ("speaker_id", "doc_id"),
+                                     ("direction", "speaker_id")], ids="+".join)
+def test_fitted_follows_input_order(factors):
+    data = _solo_level(simulate_observations(1000, FIT_BETA, n_groups=20, seed=3))
+    fit = fit_logistic(data, random_intercepts=factors)
+    backwards = fit_logistic(data[::-1], random_intercepts=factors)
+    np.testing.assert_allclose(backwards.fitted, fit.fitted[::-1], rtol=0, atol=1e-8)
 
 
 @pytest.mark.parametrize("factors", list(PINNED_FITS), ids="+".join)
@@ -436,14 +508,15 @@ def test_fit_matches_pinned_dense_fit(factors):
                          ids=lambda f: "+".join(f) or "none")
 def test_reduced_hessian_matches_dense_algebra(factors):
     data = simulate_observations(300, FIT_BETA, n_groups=12, seed=2)
-    X, y, codes, sizes = fp._design(data, PREDICTORS, factors)
-    p, q = X.shape[1], sum(sizes)
+    design = fp._design(data, PREDICTORS, factors)
+    X, Z = _dense_reference(data, factors)
+    p, q = X.shape[1], Z.shape[1]
     rng = np.random.default_rng(1)
-    w = rng.uniform(0.05, 0.25, len(y))
+    w = rng.uniform(0.05, 0.25, len(data))
     d = rng.uniform(0.5, 3.0, q)
-    H = fp._hessian(X, codes, w, d)
+    H = _dense_hessian(X, Z, w, d)
     g = rng.normal(size=p + q)
-    reduced = fp._Reduced(H, p, sizes[0] if sizes else 0)
+    reduced = fp._Reduced(fp._hessian(design, w[design.order], d), p)
     np.testing.assert_allclose(reduced.solve(g), np.linalg.solve(H, g),
                                rtol=1e-10, atol=1e-12)
     np.testing.assert_allclose(reduced.fixed_cov(), np.linalg.inv(H)[:p, :p],
@@ -472,12 +545,11 @@ def test_softplus_matches_logaddexp():
 
 def test_pirls_started_at_its_optimum_stops_at_once():
     data = simulate_observations(3000, FIT_BETA, n_groups=40, seed=0)
-    X, y, codes, sizes = fp._design(data, PREDICTORS, ("speaker_id", "doc_id"))
-    d = np.repeat([1.0 / 0.05, 1.0 / 0.03], sizes)
+    design = fp._design(data, PREDICTORS, ("speaker_id", "doc_id"))
+    d = np.repeat([1.0 / 0.05, 1.0 / 0.03], design.sizes)
     tol = 1e-9
-    beta, u, trace = fp._pirls(X, y, codes, d, sizes[0], 200, tol)
-    beta2, u2, trace2 = fp._pirls(X, y, codes, d, sizes[0], 200, tol,
-                                  start=(beta, u))
+    beta, u, trace = fp._pirls(design, d, 200, tol)
+    beta2, u2, trace2 = fp._pirls(design, d, 200, tol, start=(beta, u))
     assert len(trace2) <= 2 < len(trace)
     np.testing.assert_allclose(beta2, beta, rtol=0, atol=tol)
     np.testing.assert_allclose(u2, u, rtol=0, atol=tol)

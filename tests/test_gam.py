@@ -97,3 +97,46 @@ def test_random_noisy_fits_stay_sane():
         assert 0.0 <= fit.pseudo_r2 <= 1.0
         assert np.all(np.isfinite(fit.predict(np.linspace(0, 10, 30))))
         assert fit.sigma2 > 0.0
+
+
+def test_fit_gam_equals_a_loop_of_gcv_score():
+    # B'B and B'y are formed once per fit; every value must stay the one a
+    # gcv_score per lambda gives, bit for bit
+    from scipy.interpolate import BSpline
+    from wordbits.gam import DEGREE, _greville, _second_diff_penalty
+    x, y = _sine_data(n=600, seed=4, noise=0.25)
+    fit = fit_gam(x, y)
+    B = BSpline.design_matrix(x, fit.knots, DEGREE).toarray()
+    P = _second_diff_penalty(_greville(fit.knots, len(fit.coef)))
+    grid = [float(lam) for lam in np.logspace(-3.0, 3.0, 11)]
+    scores = [gcv_score(B, y, P, lam) for lam in grid]
+    best = min(range(len(grid)), key=lambda i: scores[i][0])  # the first minimum
+    gcv, coef, rss, edf = scores[best]
+    assert fit.lam == grid[best]
+    assert (fit.gcv, fit.edf) == (gcv, edf)
+    assert np.array_equal(fit.coef, coef)
+    sigma2 = rss / (len(y) - edf)
+    assert fit.sigma2 == sigma2
+    assert fit.pseudo_r2 == 1.0 - rss / float(((y - y.mean()) ** 2).sum())
+    Ainv = np.linalg.inv(B.T @ B + fit.lam * P)
+    assert np.array_equal(fit.cov, sigma2 * (Ainv @ (B.T @ B) @ Ainv))
+
+
+@pytest.mark.parametrize("grid, match", [
+    ([], "empty lambda_grid"),
+    ([np.nan], r"finite and >= 0, got \[nan\]"),
+    ([1.0, np.inf], r"got \[inf\]"),
+    ([0.5, -1.0], r"got \[-1.0\]"),
+])
+def test_bad_lambda_grid_rejected(grid, match):
+    x, y = _sine_data()
+    with pytest.raises(ValueError, match=match):
+        fit_gam(x, y, lambda_grid=grid)
+
+
+def test_zero_lambda_is_unpenalized_least_squares():
+    x, y = _sine_data(seed=8)
+    fit = fit_gam(x, y, lambda_grid=[0.0])
+    B = fit.design(x)
+    want = np.linalg.lstsq(B, y, rcond=None)[0]
+    np.testing.assert_allclose(fit.coef, want, rtol=1e-9, atol=1e-12)
