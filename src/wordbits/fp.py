@@ -14,10 +14,8 @@ the first factor's level and keeps the design transposed (p x n), so that
 factor's sums are one np.add.reduceat over contiguous runs, and the
 Hessian is handed on as blocks with that factor's diagonal block
 eliminated in closed form; the fitted values are returned in input order.
-Numpy only at import: scipy.optimize is
-loaded by the variance search of a fit with random intercepts, so among the
-CLI's commands only fp-analyze (and gam, for its splines) loads scipy, and
-the corpus stages load numpy only.
+The variance search is Brent's bounded minimizer, kept in this module
+(_fminbound); the module needs numpy alone.
 """
 
 from __future__ import annotations
@@ -423,6 +421,82 @@ def _laplace_loglik(design, d, beta, u, scratch=None):
             + 0.5 * float(np.sum(np.log(d))) - 0.5 * float(logdet_huu))
 
 
+_GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
+
+
+def _fminbound(func, lo, hi, xatol, maxfun=500):
+    """The x in [lo, hi] that minimizes func, by Brent's bounded search
+    (golden sections with parabolic steps; Brent 1973, as in Forsythe,
+    Malcolm & Moler's fmin).  It evaluates func at the same points, in the
+    same order, and returns the same x as scipy.optimize.minimize_scalar(
+    method="bounded", options={"xatol": xatol}); after maxfun evaluations
+    it returns the best point so far."""
+    sqrt_eps = math.sqrt(2.2e-16)
+    a, b = lo, hi
+    fulc = a + _GOLDEN * (b - a)
+    nfc = xf = fulc
+    rat = e = 0.0
+    fx = func(xf)
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm >= xf else -tol1
+        if golden:
+            e = (a - xf) if xf >= xm else (b - xf)
+            rat = _GOLDEN * e
+
+        step = max(abs(rat), tol1)
+        x = xf + (step if rat >= 0.0 else -step)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+        if num >= maxfun:
+            break
+    return xf
+
+
 def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
                  max_iter: int = 200, tol: float = 1e-9) -> FitResult:
     """Mixed-effects logistic regression of FP occurrence.
@@ -470,8 +544,6 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
         return _laplace_loglik(design, d, beta, u, scratch), beta, u
 
     if factors:
-        from scipy.optimize import minimize_scalar
-
         log_lo, log_hi = math.log(1e-8), math.log(1e3)
         for _sweep in range(8):
             previous = dict(sigma2)
@@ -480,10 +552,7 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
                     trial = dict(sigma2)
                     trial[f] = math.exp(log_s2)
                     return -profile(trial)[0]
-                res = minimize_scalar(neg, bounds=(log_lo, log_hi),
-                                      method="bounded",
-                                      options={"xatol": 1e-6})
-                sigma2[f] = math.exp(res.x)
+                sigma2[f] = math.exp(_fminbound(neg, log_lo, log_hi, 1e-6))
             if len(factors) == 1 or max(
                     abs(sigma2[f] - previous[f]) for f in factors) < 1e-8:
                 break

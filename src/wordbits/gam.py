@@ -5,8 +5,8 @@ The penalty is the sum of squared second divided differences of the spline
 coefficients taken over the Greville abscissae, so its null space is exactly
 the coefficient patterns that make the spline a straight line in x.  As
 lambda grows the fit therefore collapses to the ordinary least-squares line.
-scipy.interpolate is loaded by the calls that build a design matrix, not at
-import.
+The basis is evaluated by de Boor's recurrence (design_matrix) with numpy
+alone.
 """
 
 from __future__ import annotations
@@ -33,16 +33,17 @@ class GamFit:
     x_range: tuple = (0.0, 1.0)
 
     def design(self, x) -> np.ndarray:
-        from scipy.interpolate import BSpline
-
         x = np.clip(np.asarray(x, dtype=float), *self.x_range)
-        return BSpline.design_matrix(x, self.knots, DEGREE).toarray()
+        return design_matrix(x, self.knots)
 
     def predict(self, x) -> np.ndarray:
         return self.design(x) @ self.coef
 
     def curve(self, n: int = 100):
-        """(x, yhat, lower, upper) over an even grid for plotting/export."""
+        """(x, yhat, lower, upper) over an even grid of n >= 2 points for
+        plotting/export."""
+        if n < 2:
+            raise ValueError(f"curve needs n >= 2 grid points, got n={n}")
         xs = np.linspace(*self.x_range, n)
         B = self.design(xs)
         yhat = B @ self.coef
@@ -51,6 +52,45 @@ class GamFit:
         else:
             se = np.zeros_like(yhat)
         return xs, yhat, yhat - 1.96 * se, yhat + 1.96 * se
+
+
+def design_matrix(x, t) -> np.ndarray:
+    """Dense (len(x), len(t) - DEGREE - 1) matrix of the B-spline basis on
+    knots t at points x, by de Boor's recurrence (de Boor 1978, A Practical
+    Guide to Splines).  Each row holds the DEGREE + 1 basis functions that
+    are non-zero on the knot interval t[l] <= x < t[l + 1] (the last
+    non-empty one at the right end).  Row by row it does the arithmetic of
+    scipy's BSpline.design_matrix, and like it raises ValueError for a
+    non-finite x or one outside [t[DEGREE], t[-DEGREE - 1]]."""
+    x = np.asarray(x, dtype=float).ravel()
+    t = np.asarray(t, dtype=float)
+    k = DEGREE
+    n_basis = len(t) - k - 1
+    if n_basis < k + 1 or np.any(t[1:] < t[:-1]):
+        raise ValueError(f"need a sorted knot vector of at least {2 * k + 2} "
+                         f"knots, got {len(t)}")
+    if not np.isfinite(x).all():
+        raise ValueError("x must not contain infs or nans")
+    if x.size and (x.min() < t[k] or x.max() > t[n_basis]):
+        raise ValueError(f"x outside the knot range [{t[k]!r}, {t[n_basis]!r}]")
+    # interval index l, with t[l] <= x < t[l + 1] and k <= l < n_basis
+    ell = np.clip(np.searchsorted(t, x, side="right") - 1, k, n_basis - 1)
+    h = np.zeros((k + 1, x.size))
+    h[0] = 1.0
+    for j in range(1, k + 1):
+        hh = h[:j].copy()
+        h[0] = 0.0
+        for i in range(1, j + 1):
+            xb = t[ell + i]
+            xa = t[ell + i - j]
+            span = xb - xa
+            # span is 0 only where x == xa == xb, so both terms below are 0
+            w = hh[i - 1] / np.where(span == 0.0, 1.0, span)
+            h[i - 1] += w * (xb - x)
+            h[i] = w * (x - xa)
+    B = np.zeros((x.size, n_basis))
+    np.put_along_axis(B, (ell - k)[:, None] + np.arange(k + 1), h.T, axis=1)
+    return B
 
 
 def _knot_vector(lo: float, hi: float, n_splines: int) -> np.ndarray:
@@ -100,8 +140,9 @@ def _gcv_score(B, y, P, lam, BtB, Bty):
 def fit_gam(x, y, n_splines: int = N_SPLINES, lambda_grid=None) -> GamFit:
     """Grid-searched penalized spline regression of y on x.
 
-    Requires at least 50 paired finite samples, a non-degenerate x range
-    and a non-empty lambda_grid of finite, non-negative values.
+    Requires n_splines >= DEGREE + 1, at least 50 paired finite samples, a
+    non-degenerate x range and a non-empty lambda_grid of finite,
+    non-negative values.
     """
     if lambda_grid is None:
         lambda_grid = np.logspace(-3.0, 3.0, 11)
@@ -115,16 +156,17 @@ def fit_gam(x, y, n_splines: int = N_SPLINES, lambda_grid=None) -> GamFit:
     y = np.asarray(y, dtype=float)
     ok = np.isfinite(x) & np.isfinite(y)
     x, y = x[ok], y[ok]
+    if n_splines < DEGREE + 1:
+        raise ValueError(f"n_splines must be at least {DEGREE + 1}, "
+                         f"got n_splines={n_splines}")
     if len(x) < 50:
         raise ValueError(f"need at least 50 finite samples, have {len(x)}")
     lo, hi = float(x.min()), float(x.max())
     if hi - lo < 1e-12:
         raise ValueError("degenerate x range")
 
-    from scipy.interpolate import BSpline
-
     t = _knot_vector(lo, hi, n_splines)
-    B = BSpline.design_matrix(x, t, DEGREE).toarray()
+    B = design_matrix(x, t)
     P = _second_diff_penalty(_greville(t, n_splines))
     BtB, Bty = B.T @ B, B.T @ y
 

@@ -1,8 +1,14 @@
-"""Shared fixtures: replay files for the worked example segment."""
+"""Shared fixtures: replay files for the worked example segment, and the
+tables the fp-analyze and gam commands read."""
+
+import random
 
 import pytest
 
 from wordbits.adapters import write_replay
+from wordbits.ids import ItemId
+from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
+from wordbits.tables import write_table
 
 # One parallel segment, spoken DE -> EN, with FPs and a multiword token on
 # the target side.  All expected numbers below are frozen against these
@@ -195,3 +201,66 @@ def example_input_tsv(tmp_path_factory):
         f"30\t21\tfDE1\tfEN3\t{src_raw}\t{tgt_raw}\n",
         encoding="utf-8")
     return str(p)
+
+
+def fp_vertical_rows():
+    """Vertical rows of 40 spoken DE-EN segments, half with one FP, for
+    fp-analyze."""
+    rng = random.Random(42)
+    rows = []
+    for seg in range(40):
+        seg_id = f"{seg:02d}"
+        speaker = f"fEN{seg % 4}"
+        src_ids = []
+        for i in range(1, 4):
+            wid = ItemId("ORG", "SP", "DE", "EN", "001", seg_id, f"{i:03d}")
+            src_ids.append(str(wid))
+            rows.append(WordRow(word_id=wid, token=f"s{i}",
+                                srp_base_gpt2=rng.uniform(1, 20),
+                                doc_id="001", seg_id=seg_id, lpair="de-en",
+                                lang="DE", mode="sp", ttype="ORG",
+                                speaker_id=f"fDE{seg % 4}"))
+        fp_before = rng.randrange(1, 6) if seg % 2 == 0 else None
+        word_no = 1
+        for i in range(1, 7):
+            if i == fp_before:
+                rows.append(WordRow(
+                    word_id=ItemId("SI", "SP", "DE", "EN", "001", seg_id,
+                                   f"{word_no:03d}", explicit_mode=False),
+                    token="euh", pos="FP", doc_id="001", seg_id=seg_id,
+                    lpair="de-en", lang="EN", mode="sp", ttype="SI",
+                    speaker_id=speaker))
+                word_no += 1
+            rows.append(WordRow(
+                word_id=ItemId("SI", "SP", "DE", "EN", "001", seg_id,
+                               f"{word_no:03d}", explicit_mode=False),
+                token=f"w{i}", srp_base_gpt2=rng.uniform(1, 20),
+                srp_base_mt=rng.uniform(1, 40),
+                aligned_word_id=[rng.choice(src_ids)],
+                doc_id="001", seg_id=seg_id, lpair="de-en", lang="EN",
+                mode="sp", ttype="SI", speaker_id=speaker))
+            word_no += 1
+    return rows
+
+
+def write_gam_tables(directory):
+    """Long and wide tables of 80 segments whose LM mean is 2x their MT
+    mean plus noise; returns their paths."""
+    rng = random.Random(7)
+    longs, wides = [], []
+    for i in range(80):
+        x = rng.uniform(2.0, 12.0)
+        y = 2.0 * x + rng.gauss(0.0, 0.3)
+        seg_id = f"{i:03d}"
+        longs.append(SegmentRecord(doc_id="001", seg_id=seg_id, lpair="de-en",
+                                   lang="EN", mode="sp", ttype="SI",
+                                   base_gpt_avs=y))
+        wides.append(SegmentPairRecord(src_doc_id="001", src_seg_id=seg_id,
+                                       tgt_doc_id="001", tgt_seg_id=seg_id,
+                                       lpair="de-en", mode="sp",
+                                       base_mt_avs=x))
+    long_path = directory / "long.tsv.gz"
+    wide_path = directory / "wide.tsv.gz"
+    write_table(longs, "long", long_path)
+    write_table(wides, "wide", wide_path)
+    return long_path, wide_path

@@ -3,7 +3,6 @@
 import gzip
 import json
 import os
-import random
 import shutil
 import subprocess
 import sys
@@ -20,6 +19,8 @@ from conftest import (
     TGT_FP_POSITIONS,
     _LM_BASE,
     _MT_BASE,
+    fp_vertical_rows,
+    write_gam_tables,
 )
 import wordbits
 from wordbits import pipeline
@@ -27,8 +28,6 @@ from wordbits.adapters import write_replay
 from wordbits.cli import _config_from_args, build_parser, main
 from wordbits.config import RunConfig
 from wordbits.fp import PREDICTORS
-from wordbits.ids import ItemId
-from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
 from wordbits.tables import read_table, write_table
 
 _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
@@ -300,47 +299,9 @@ def test_build_and_stats_subcommands(tmp_path):
     assert len(lines) >= 2
 
 
-def _fp_vertical_rows():
-    rng = random.Random(42)
-    rows = []
-    for seg in range(40):
-        seg_id = f"{seg:02d}"
-        speaker = f"fEN{seg % 4}"
-        src_ids = []
-        for i in range(1, 4):
-            wid = ItemId("ORG", "SP", "DE", "EN", "001", seg_id, f"{i:03d}")
-            src_ids.append(str(wid))
-            rows.append(WordRow(word_id=wid, token=f"s{i}",
-                                srp_base_gpt2=rng.uniform(1, 20),
-                                doc_id="001", seg_id=seg_id, lpair="de-en",
-                                lang="DE", mode="sp", ttype="ORG",
-                                speaker_id=f"fDE{seg % 4}"))
-        fp_before = rng.randrange(1, 6) if seg % 2 == 0 else None
-        word_no = 1
-        for i in range(1, 7):
-            if i == fp_before:
-                rows.append(WordRow(
-                    word_id=ItemId("SI", "SP", "DE", "EN", "001", seg_id,
-                                   f"{word_no:03d}", explicit_mode=False),
-                    token="euh", pos="FP", doc_id="001", seg_id=seg_id,
-                    lpair="de-en", lang="EN", mode="sp", ttype="SI",
-                    speaker_id=speaker))
-                word_no += 1
-            rows.append(WordRow(
-                word_id=ItemId("SI", "SP", "DE", "EN", "001", seg_id,
-                               f"{word_no:03d}", explicit_mode=False),
-                token=f"w{i}", srp_base_gpt2=rng.uniform(1, 20),
-                srp_base_mt=rng.uniform(1, 40),
-                aligned_word_id=[rng.choice(src_ids)],
-                doc_id="001", seg_id=seg_id, lpair="de-en", lang="EN",
-                mode="sp", ttype="SI", speaker_id=speaker))
-            word_no += 1
-    return rows
-
-
 def test_fp_analyze_subcommand(tmp_path):
     vertical = tmp_path / "vertical.tsv.gz"
-    write_table(_fp_vertical_rows(), "vertical", vertical)
+    write_table(fp_vertical_rows(), "vertical", vertical)
     rc = main(["fp-analyze", "--input", str(vertical),
                "--output-dir", str(tmp_path), "--direction", "de-en",
                "--mode", "sp"])
@@ -359,7 +320,7 @@ def test_fp_analyze_subcommand(tmp_path):
 
 def _fp_analyze(tmp_path, *extra):
     vertical = tmp_path / "vertical.tsv.gz"
-    write_table(_fp_vertical_rows(), "vertical", vertical)
+    write_table(fp_vertical_rows(), "vertical", vertical)
     return main(["fp-analyze", "--input", str(vertical),
                  "--output-dir", str(tmp_path), "--direction", "de-en",
                  "--mode", "sp", *extra])
@@ -404,29 +365,15 @@ def test_fp_analyze_repeated_factor_writes_no_model(tmp_path, capsys):
     assert not (tmp_path / "fp_model.tsv.gz").exists()
 
 
-def test_gam_subcommand(tmp_path):
-    rng = random.Random(7)
-    longs, wides = [], []
-    for i in range(80):
-        x = rng.uniform(2.0, 12.0)
-        y = 2.0 * x + rng.gauss(0.0, 0.3)
-        seg_id = f"{i:03d}"
-        longs.append(SegmentRecord(doc_id="001", seg_id=seg_id, lpair="de-en",
-                                   lang="EN", mode="sp", ttype="SI",
-                                   base_gpt_avs=y))
-        wides.append(SegmentPairRecord(src_doc_id="001", src_seg_id=seg_id,
-                                       tgt_doc_id="001", tgt_seg_id=seg_id,
-                                       lpair="de-en", mode="sp",
-                                       base_mt_avs=x))
-    long_path = tmp_path / "long.tsv.gz"
-    wide_path = tmp_path / "wide.tsv.gz"
-    write_table(longs, "long", long_path)
-    write_table(wides, "wide", wide_path)
+def _gam(tmp_path, *extra):
+    long_path, wide_path = write_gam_tables(tmp_path)
+    return main(["gam", "--input", str(long_path), "--wide", str(wide_path),
+                 "--output-dir", str(tmp_path), "--direction", "de-en",
+                 "--mode", "sp", *extra])
 
-    rc = main(["gam", "--input", str(long_path), "--wide", str(wide_path),
-               "--output-dir", str(tmp_path), "--direction", "de-en",
-               "--mode", "sp", "--grid-points", "60"])
-    assert rc == 0
+
+def test_gam_subcommand(tmp_path):
+    assert _gam(tmp_path, "--grid-points", "60") == 0
     with gzip.open(tmp_path / "gam_curve.tsv.gz", "rt", encoding="utf-8") as f:
         lines = [ln.rstrip("\n") for ln in f]
     prov = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
@@ -436,6 +383,14 @@ def test_gam_subcommand(tmp_path):
     assert len(body) - 1 == 60
     first = [float(v) for v in body[1].split("\t")]
     assert first[2] <= first[1] <= first[3]
+
+
+def test_gam_rejects_a_grid_of_fewer_than_two_points(tmp_path, capsys):
+    assert _gam(tmp_path, "--grid-points", "0") == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    assert "n=0" in record["message"] and "n >= 2" in record["message"]
+    assert not (tmp_path / "gam_curve.tsv.gz").exists()
 
 
 def test_warnings_print_level_and_logger_once_per_call(tmp_path, capfd):

@@ -221,7 +221,7 @@ def test_concordance_matches_brute_force():
 def test_concordance_equals_rankdata_formula(ties):
     """Average ranks from numpy give the same C, bit for bit, as the rank
     sum over scipy.stats.rankdata."""
-    from scipy.stats import rankdata
+    rankdata = pytest.importorskip("scipy.stats").rankdata
 
     rng = np.random.default_rng(29)
     probs = rng.choice(np.linspace(0.0, 1.0, 9), size=300) if ties else rng.random(300)
@@ -582,3 +582,78 @@ def test_fit_repeats_exactly():
     a, b = fit_logistic(data), fit_logistic(data)
     assert (a.coefficients, a.std_errors, a.variances, a.aic, a.c) == \
         (b.coefficients, b.std_errors, b.variances, b.aic, b.c)
+
+
+# ---------------------------------------------------------------- variance search
+
+def _scipy_bounded(func, lo, hi, xatol, maxfun=500):
+    """The x that scipy's bounded scalar minimizer returns, and the points
+    it evaluated func at, in order."""
+    minimize_scalar = pytest.importorskip("scipy.optimize").minimize_scalar
+    points = []
+
+    def probe(x):
+        points.append(float(x))
+        return func(x)
+
+    res = minimize_scalar(probe, bounds=(lo, hi), method="bounded",
+                          options={"xatol": xatol, "maxiter": maxfun})
+    return float(res.x), points
+
+
+@pytest.mark.parametrize("func, lo, hi, xatol, maxfun", [
+    (lambda x: (x - 0.3) ** 2, -2.0, 5.0, 1e-6, 500),
+    (lambda x: (x - 0.5) ** 2, 0.0, 1.0, 1e-6, 500),  # a parabola lands on xf
+    (lambda x: math.cos(x) + 0.1 * x, 0.0, 10.0, 1e-5, 500),
+    (lambda x: abs(x - 1.234), -3.0, 3.0, 1e-8, 500),
+    (lambda x: x, -1.5, 4.0, 1e-6, 500),        # minimum at the lower bound
+    (lambda x: -x, math.log(1e-8), math.log(1e3), 1e-6, 500),  # at the upper
+    (lambda x: 1.0, -1.0, 1.0, 1e-6, 500),      # flat
+    (lambda x: abs(x - 1.234), -3.0, 3.0, 1e-8, 10),  # stopped by maxfun
+], ids=["quadratic", "centred", "cosine", "kink", "lower-bound", "upper-bound", "flat",
+        "maxfun"])
+def test_fminbound_takes_scipys_steps(func, lo, hi, xatol, maxfun):
+    points = []
+
+    def probe(x):
+        points.append(x)
+        return func(x)
+
+    x = fp._fminbound(probe, lo, hi, xatol, maxfun)
+    want_x, want_points = _scipy_bounded(func, lo, hi, xatol, maxfun)
+    assert points == want_points
+    assert x == want_x
+    assert len(points) <= maxfun
+
+
+def test_fminbound_takes_scipys_steps_on_the_fp_profile(monkeypatch):
+    # the fit's own profile, warm starts included: scipy, handed the values
+    # the fit computed, must ask for the same points and pick the same x
+    pytest.importorskip("scipy.optimize")
+    searches = []
+    fminbound = fp._fminbound
+
+    def recording(func, lo, hi, xatol):
+        seen = []
+
+        def probe(x):
+            value = func(x)
+            seen.append((x, value))
+            return value
+
+        x = fminbound(probe, lo, hi, xatol)
+        searches.append((lo, hi, xatol, seen, x))
+        return x
+
+    monkeypatch.setattr(fp, "_fminbound", recording)
+    data = simulate_observations(20_000, (-1.2, 0.5, -0.4, 0.3, -0.25, 0.2, -0.15),
+                                 group_sd=0.3, n_groups=200, seed=0)
+    random.Random(1).shuffle(data)
+    fit = fit_logistic(data)
+    (lo, hi, xatol, seen, x), = searches
+    assert fit.variances["speaker_id"] == math.exp(x)
+    values = iter(value for _, value in seen)
+    want_x, want_points = _scipy_bounded(lambda _: next(values, math.nan),
+                                         lo, hi, xatol)
+    assert want_points == [point for point, _ in seen]
+    assert want_x == x

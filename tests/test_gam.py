@@ -1,9 +1,11 @@
 """Penalized spline smoother."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
-from wordbits.gam import GamFit, fit_gam, gcv_score
+from wordbits.gam import DEGREE, GamFit, _knot_vector, design_matrix, fit_gam, gcv_score
 
 
 def _sine_data(n=400, seed=0, noise=0.1):
@@ -80,8 +82,8 @@ def test_lambda_selected_from_grid_by_gcv():
     grid = [0.01, 1.0, 100.0]
     fit = fit_gam(x, y, lambda_grid=grid)
     assert fit.lam in grid
-    from scipy.interpolate import BSpline
-    from wordbits.gam import DEGREE, _greville, _second_diff_penalty
+    BSpline = pytest.importorskip("scipy.interpolate").BSpline
+    from wordbits.gam import _greville, _second_diff_penalty
     B = BSpline.design_matrix(np.clip(x, *fit.x_range), fit.knots, DEGREE).toarray()
     P = _second_diff_penalty(_greville(fit.knots, len(fit.coef)))
     scores = [gcv_score(B, y, P, lam)[0] for lam in grid]
@@ -102,8 +104,8 @@ def test_random_noisy_fits_stay_sane():
 def test_fit_gam_equals_a_loop_of_gcv_score():
     # B'B and B'y are formed once per fit; every value must stay the one a
     # gcv_score per lambda gives, bit for bit
-    from scipy.interpolate import BSpline
-    from wordbits.gam import DEGREE, _greville, _second_diff_penalty
+    BSpline = pytest.importorskip("scipy.interpolate").BSpline
+    from wordbits.gam import _greville, _second_diff_penalty
     x, y = _sine_data(n=600, seed=4, noise=0.25)
     fit = fit_gam(x, y)
     B = BSpline.design_matrix(x, fit.knots, DEGREE).toarray()
@@ -140,3 +142,64 @@ def test_zero_lambda_is_unpenalized_least_squares():
     B = fit.design(x)
     want = np.linalg.lstsq(B, y, rcond=None)[0]
     np.testing.assert_allclose(fit.coef, want, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("n_splines", range(4, 13))
+def test_design_matrix_equals_scipy_bspline(n_splines):
+    BSpline = pytest.importorskip("scipy.interpolate").BSpline
+    rng = np.random.default_rng(n_splines)
+    lo, hi = sorted(rng.uniform(-5.0, 5.0, 2))
+    t = _knot_vector(lo, hi, n_splines)
+    x = np.concatenate([rng.uniform(lo, hi, 500), t, [lo, hi]])  # every knot, both ends
+    B = design_matrix(x, t)
+    assert B.shape == (len(x), n_splines)
+    assert np.array_equal(B, BSpline.design_matrix(x, t, DEGREE).toarray())
+    np.testing.assert_allclose(B.sum(axis=1), 1.0, rtol=0, atol=4 * np.spacing(1.0))
+
+
+@pytest.mark.parametrize("t", [
+    [0, 0, 0, 0, 0.5, 0.5, 1, 1, 1, 1, 1],  # an empty last interval
+    [0, 0, 0, 0, 0.3, 0.3, 0.3, 0.7, 1, 1, 1, 1],
+    [-1, -1, -1, -1, 0.5, 0.5, 0.5, 0.5, 2, 2, 2, 2],
+])
+def test_design_matrix_equals_scipy_bspline_on_repeated_knots(t):
+    BSpline = pytest.importorskip("scipy.interpolate").BSpline
+    t = np.array(t, dtype=float)
+    x = np.concatenate([np.linspace(t[DEGREE], t[-DEGREE - 1], 41), t])
+    x = x[(x >= t[DEGREE]) & (x <= t[-DEGREE - 1])]
+    assert np.array_equal(design_matrix(x, t),
+                          BSpline.design_matrix(x, t, DEGREE).toarray())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -1e-9, 1.0 + 1e-9])
+def test_design_matrix_rejects_nonfinite_and_out_of_range_x(bad):
+    t = _knot_vector(0.0, 1.0, 6)
+    with pytest.raises(ValueError, match="infs or nans|outside the knot range"):
+        design_matrix([0.5, bad], t)
+
+
+def test_predict_rejects_nan_and_x_beyond_the_knots():
+    x, y = _sine_data(seed=11)
+    fit = fit_gam(x, y)
+    with pytest.raises(ValueError, match="infs or nans"):
+        fit.predict([0.5, np.nan])
+    lo, hi = fit.x_range
+    wide = dataclasses.replace(fit, x_range=(lo - 1.0, hi))  # clips short of lo - 1
+    with pytest.raises(ValueError, match="outside the knot range"):
+        wide.predict([lo - 0.5])
+
+
+@pytest.mark.parametrize("n_splines", [-1, 0, 3])
+def test_too_few_splines_rejected(n_splines):
+    x, y = _sine_data()
+    with pytest.raises(ValueError, match=f"n_splines={n_splines}"):
+        fit_gam(x, y, n_splines=n_splines)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 1])
+def test_curve_needs_two_grid_points(n):
+    x, y = _sine_data()
+    fit = fit_gam(x, y)
+    with pytest.raises(ValueError, match=f"n={n}"):
+        fit.curve(n)
+    assert len(fit.curve(2)[0]) == 2

@@ -1,5 +1,5 @@
-"""What a fresh process imports: the corpus stages load no scipy, and the
-fits load only the scipy subpackages they call."""
+"""What a fresh process imports: no command and no fit loads scipy, and
+the fit commands run where scipy cannot be imported at all."""
 
 import json
 import os
@@ -7,7 +7,9 @@ import subprocess
 import sys
 from pathlib import Path
 
+from conftest import fp_vertical_rows, write_gam_tables
 import wordbits
+from wordbits.tables import write_table
 
 _PKG_ROOT = str(Path(wordbits.__file__).resolve().parent.parent)
 
@@ -46,7 +48,7 @@ for argv in (["normalize", "--input", d + "/input.tsv"],
     assert (tmp_path / "wide.tsv.gz").exists()
 
 
-def test_fits_load_no_scipy_stats():
+def test_fits_load_no_scipy():
     script = """
 import numpy as np
 from wordbits import fp, gam
@@ -56,6 +58,39 @@ fp.fit_logistic(data, random_intercepts=("speaker_id",))
 x = np.linspace(0.0, 1.0, 60)
 gam.fit_gam(x, 2.0 * x + np.sin(6.0 * x)).curve(10)
 """
-    loaded = _loaded_scipy(script)
-    assert "scipy.optimize" in loaded and "scipy.interpolate" in loaded
-    assert "scipy.stats" not in loaded
+    assert _loaded_scipy(script) == []
+
+
+def test_fit_commands_run_where_scipy_cannot_be_imported(tmp_path):
+    write_table(fp_vertical_rows(), "vertical", tmp_path / "vertical.tsv.gz")
+    write_gam_tables(tmp_path)
+    script = """
+import importlib.abc
+
+
+class NoScipy(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError(f"no module named {name!r}")
+        return None
+
+
+sys.meta_path.insert(0, NoScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    raise SystemExit("scipy was importable")
+from wordbits.cli import main
+d = sys.argv[1]
+common = ["--output-dir", d, "--direction", "de-en", "--mode", "sp"]
+for argv in (["fp-analyze", "--input", d + "/vertical.tsv.gz"],
+             ["fp-analyze", "--input", d + "/vertical.tsv.gz",
+              "--random-intercepts", "speaker_id,doc_id"],
+             ["gam", "--input", d + "/long.tsv.gz", "--wide", d + "/wide.tsv.gz"]):
+    assert main(argv + common) == 0, argv
+"""
+    assert _loaded_scipy(script, str(tmp_path)) == []
+    assert (tmp_path / "fp_model.tsv.gz").exists()
+    assert (tmp_path / "gam_curve.tsv.gz").exists()
