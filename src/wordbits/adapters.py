@@ -69,6 +69,11 @@ class AdapterError(RuntimeError):
     pass
 
 
+def adapter_name(adapter) -> str:
+    """Its name, else its class name: a repr holds a per-run address."""
+    return getattr(adapter, "name", type(adapter).__name__)
+
+
 class SubwordScore(NamedTuple):
     surface: str
     logprob2: float  # base-2 log probability, <= 0
@@ -167,6 +172,13 @@ def detokenize_pieces(pieces) -> str:
 _BITS_DIVISOR = {"2": 1.0, "e": math.log(2), "10": math.log10(2)}
 
 
+def meta_of(obj):
+    """The meta dict of a parsed {"meta": {...}} line, else None."""
+    if isinstance(obj, dict) and set(obj) == {"meta"} and isinstance(obj["meta"], dict):
+        return obj["meta"]
+    return None
+
+
 def request_key(request: dict) -> str:
     return json.dumps(request, sort_keys=True, ensure_ascii=False)
 
@@ -209,13 +221,11 @@ class _ReplayBase:
             if not first:
                 raise AdapterError(f"{self.path}: empty replay file")
             try:
-                head = json.loads(first)
-                if not (isinstance(head, dict) and set(head) == {"meta"}
-                        and isinstance(head["meta"], dict)):
+                meta = self.meta = meta_of(json.loads(first))
+                if meta is None:
                     raise ValueError('not a {"meta": {...}} object')
             except ValueError as exc:
                 raise AdapterError(f"{self.path}:1: bad replay meta line: {exc}") from exc
-            meta = self.meta = head["meta"]
             if meta.get("kind") not in (None, self.kind):
                 raise AdapterError(f"{self.path}: replay kind {meta.get('kind')!r} "
                                    f"does not match {self.kind!r}")

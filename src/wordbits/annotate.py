@@ -16,7 +16,7 @@ from itertools import accumulate
 from sys import intern
 from typing import NamedTuple
 
-from .adapters import AdapterError, _ReplayBase
+from .adapters import AdapterError, _ReplayBase, adapter_name
 from .records import WordRow
 from .transcripts import FP_FORMS
 
@@ -267,7 +267,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
                                          scored_tokens, clean_text)
         except Exception as exc:
             log.warning("parser %s failed on %r: %s; keeping token-only rows",
-                        getattr(adapter, "name", adapter), clean_text[:60], exc)
+                        adapter_name(adapter), clean_text[:60], exc)
             parsed = False
     if not parsed:
         # no parser, or a failed one: one row per whitespace token

@@ -1,6 +1,8 @@
 """End-to-end corpus pipeline: raw parallel input -> normalized segments ->
 annotated vertical rows -> long/wide aggregates.
 
+Each ``*_stage`` function reads one stage's input and writes its outputs,
+with provenance, under ``cfg.output_dir``; each CLI stage command calls one.
 Annotation runs on the calling thread in doc_id order, so identical inputs
 and adapters give byte-identical outputs and the same warnings in order.
 """
@@ -10,19 +12,20 @@ from __future__ import annotations
 import gzip
 import json
 import logging
+import os
 from bisect import bisect_right
 from dataclasses import field, make_dataclass
 from typing import NamedTuple
 
-from . import align, surprisal
+from . import __version__, align, surprisal
 from .adapters import (MockCausalLM, MockEncoder, MockMT, ReplayCausalLM,
-                       ReplayEncoder, ReplayMT)
+                       ReplayEncoder, ReplayMT, adapter_name, meta_of)
 from .annotate import MockParser, ReplayParser, annotate_segment
-from .config import RunConfig
+from .config import RunConfig, config_hash
 from .ids import IMPLIED_MODE, ItemId
 from .records import SegmentPairRecord, SegmentRecord
 from .standardize import standardize
-from .tables import text_writer
+from .tables import read_table, text_writer, write_table
 from .transcripts import normalize_segment
 
 log = logging.getLogger(__name__)
@@ -103,11 +106,7 @@ def read_input_tsv(path) -> list:
         cells = line.split("\t")
         if len(cells) != len(header):
             raise ValueError(f"{path}:{lineno}: expected {len(header)} cells")
-        row = dict(zip(header, cells))
-        for k, v in row.items():
-            if v == "NA":
-                row[k] = ""
-        rows.append(row)
+        rows.append({k: "" if v == "NA" else v for k, v in zip(header, cells)})
     return rows
 
 
@@ -126,9 +125,7 @@ def normalize_rows(rows, cfg: RunConfig) -> list:
             text = standardize(raw, lang)
             if cfg.mode == "sp":
                 clean, fps, counts = normalize_segment(text)
-                counts_d = {"disfluencies": counts.disfluencies,
-                            "fillers": counts.fillers,
-                            "fillers_plus_3": counts.fillers_plus_3}
+                counts_d = dict(vars(counts))
             else:
                 clean, fps, counts_d = text, [], None
             seg["sides"][side] = {
@@ -161,9 +158,7 @@ def read_jsonl(path):
                 obj = json.loads(line)
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            if lineno == 1 and isinstance(obj, dict) and set(obj) == {"meta"} \
-                    and isinstance(obj["meta"], dict):
-                meta = obj["meta"]
+            if lineno == 1 and (meta := meta_of(obj)) is not None:
                 continue
             records.append(obj)
     return meta, records
@@ -272,8 +267,7 @@ def _attempt(adapter, nulled, fn, *args):
     try:
         return fn(*args)
     except Exception as exc:
-        log.warning("adapter %s failed, %s: %s",
-                    getattr(adapter, "name", adapter), nulled, exc)
+        log.warning("adapter %s failed, %s: %s", adapter_name(adapter), nulled, exc)
         return None
 
 
@@ -398,3 +392,60 @@ def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
             wide.base_bleu = pair.get("base_bleu")
             wide.ft_bleu = pair.get("ft_bleu")
     return longs, list(wides.values())
+
+
+def provenance(cfg: RunConfig, command: str, **extra) -> dict:
+    """A command's provenance header: command, config hash, package version
+    and extra; no wall-clock time, so identical inputs give identical bytes."""
+    return {"command": command, "config": config_hash(cfg), "version": __version__,
+            **extra}
+
+
+def output_path(cfg: RunConfig, name: str) -> str:
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    return os.path.join(cfg.output_dir, name)
+
+
+def require_input(cfg: RunConfig) -> str:
+    if not cfg.input:
+        raise ValueError("no input path given (use --input or the config file)")
+    return cfg.input
+
+
+def normalize_stage(cfg: RunConfig) -> dict:
+    """Raw parallel TSV at cfg.input -> clean.jsonl.gz.  Like each stage,
+    returns {path written: records written}, in the order written."""
+    segs = normalize_rows(read_input_tsv(require_input(cfg)), cfg)
+    out = output_path(cfg, "clean.jsonl.gz")
+    write_jsonl(out, segs, meta=provenance(cfg, "normalize"))
+    return {out: len(segs)}
+
+
+def annotate_stage(cfg: RunConfig, adapters: AdapterSet) -> dict:
+    """Clean segments at cfg.input -> vertical.tsv.gz and sidecar.jsonl.gz,
+    scored by the caller's adapters, whose names the provenance records."""
+    _meta, segs = read_jsonl(require_input(cfg))
+    rows, sidecar = annotate_corpus(segs, cfg, adapters)
+    prov = provenance(cfg, "annotate", **{
+        f"adapter_{role}": adapter_name(a) for role in ROLES
+        if (a := getattr(adapters, role)) is not None})
+    out = output_path(cfg, "vertical.tsv.gz")
+    write_table(rows, "vertical", out, provenance=prov)
+    side_out = output_path(cfg, "sidecar.jsonl.gz")
+    write_jsonl(side_out, sidecar, meta=prov)
+    return {out: len(rows), side_out: len(sidecar)}
+
+
+def aggregate_stage(cfg: RunConfig, sidecar=None) -> dict:
+    """Vertical rows at cfg.input, plus the annotate stage's sidecar file if
+    given, -> long.tsv.gz and wide.tsv.gz.  Without a sidecar the columns
+    taken from it (subword means, BLEU, disfluency counts) are NA."""
+    rows = read_table(require_input(cfg), "vertical")
+    side_records = read_jsonl(sidecar)[1] if sidecar else None
+    longs, wides = aggregate_rows(rows, side_records, cfg)
+    prov = provenance(cfg, "aggregate")
+    long_out = output_path(cfg, "long.tsv.gz")
+    wide_out = output_path(cfg, "wide.tsv.gz")
+    write_table(longs, "long", long_out, provenance=prov)
+    write_table(wides, "wide", wide_out, provenance=prov)
+    return {long_out: len(longs), wide_out: len(wides)}

@@ -29,7 +29,8 @@ import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
-from .adapters import AdapterError, SubwordScores, detokenize_pieces, is_punct_text
+from .adapters import (AdapterError, SubwordScores, adapter_name, detokenize_pieces,
+                       is_punct_text)
 
 log = logging.getLogger(__name__)
 
@@ -216,7 +217,7 @@ def _realigned(seg, adapter, subs):
     out.subwords = subs
     if out and out[-1].note == "unconsumed_subwords":
         log.warning("adapter %s scored subwords past the last word; "
-                    "their bits are not kept", getattr(adapter, "name", adapter))
+                    "their bits are not kept", adapter_name(adapter))
     return out
 
 

@@ -12,11 +12,14 @@ import gzip
 import hashlib
 import json
 import random
+from dataclasses import replace
 
 import pytest
 
 from wordbits.cli import main
-from wordbits.pipeline import INPUT_COLUMNS
+from wordbits.config import RunConfig
+from wordbits.pipeline import (INPUT_COLUMNS, adapters_from_config, aggregate_stage,
+                               annotate_stage, normalize_stage)
 
 _DE = ("wir", "haben", "das", "Verfahren", "heute", "nicht", "gesehen",
        "Kommission", "Parlament", "3,5", "Prozent", "z.B.", "Haushalt",
@@ -134,6 +137,30 @@ def test_outputs_match_pinned_bytes(mode, tmp_path):
                  "--sidecar", str(out / "sidecar.jsonl.gz")] + common) == 0
     got = {name: _body_sha(out / name) for name in _OUTPUTS}
     assert got == _PINNED[mode]
+
+
+def test_stage_functions_write_the_pinned_and_the_cli_bytes(tmp_path):
+    """The three stage functions, called from Python with the adapters that
+    --mock builds, write the pinned bodies, and the same whole files as the
+    command line with the same config and paths."""
+    flags, src_vocab, tgt_vocab = _MODES["sp-bounded"]
+    tsv = tmp_path / "input.tsv"
+    _write_corpus(tsv, src_vocab, tgt_vocab, spoken=True, seed=3)
+    out = tmp_path / "out"
+    cfg = RunConfig(input=str(tsv), output_dir=str(out), lpair="de-en", mode="sp")
+    [clean] = normalize_stage(cfg)
+    annotate_cfg = replace(cfg, input=clean)
+    vertical, sidecar = annotate_stage(
+        annotate_cfg, adapters_from_config(annotate_cfg, mock_fallback=True))
+    aggregate_stage(replace(cfg, input=vertical), sidecar)
+    assert {name: _body_sha(out / name) for name in _OUTPUTS} == _PINNED["sp-bounded"]
+    staged = {name: (out / name).read_bytes() for name in _OUTPUTS}
+
+    common = ["--output-dir", str(out)] + flags
+    assert main(["normalize", "--input", str(tsv)] + common) == 0
+    assert main(["annotate", "--input", clean, "--mock"] + common) == 0
+    assert main(["aggregate", "--input", vertical, "--sidecar", sidecar] + common) == 0
+    assert {name: (out / name).read_bytes() for name in _OUTPUTS} == staged
 
 
 # The worked example through a --replay manifest: the mock cases above never

@@ -2,16 +2,18 @@
 adapter role, and the segment aggregates."""
 
 import copy
+import gzip
 import logging
 import random
 import re
 import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wordbits import pipeline
-from wordbits.adapters import AdapterError
+from wordbits.adapters import AdapterError, MockCausalLM
 from wordbits.config import RunConfig
 from wordbits.ids import ItemId
 from wordbits.records import WordRow
@@ -596,3 +598,81 @@ def test_read_jsonl_meta_must_be_a_dict(tmp_path):
     assert pipeline.read_jsonl(p) == (None, [{"meta": "x"}, {"a": 1}])
     p.write_text('{"meta": {"command": "normalize"}}\n{"meta": {}}\n', encoding="utf-8")
     assert pipeline.read_jsonl(p) == ({"command": "normalize"}, [{"meta": {}}])
+
+
+def _stage_corpus(tmp_path):
+    """_mock_corpus's input through the normalize stage; returns the config
+    the annotate stage reads it with."""
+    _mock_corpus(tmp_path)
+    cfg = RunConfig(input=str(tmp_path / "input.tsv"), output_dir=str(tmp_path),
+                    lpair="de-en", mode="sp")
+    [clean] = pipeline.normalize_stage(cfg)
+    return replace(cfg, input=clean)
+
+
+class _Nameless:
+    """An adapter without a name whose every call raises."""
+
+    def score(self, text):
+        raise AdapterError("down")
+
+    def annotate(self, text, lang):
+        raise AdapterError("down")
+
+
+class _Overscoring:
+    """An LM without a name that scores a word past the end of each text."""
+
+    def score(self, text):
+        return MockCausalLM().score(text + " tail")
+
+
+def test_nameless_adapters_are_named_by_their_class(tmp_path, caplog):
+    """Warnings and provenance name an adapter without a name by its class,
+    not by its repr, whose address would change from run to run."""
+    cfg = _stage_corpus(tmp_path)
+    adapters = pipeline.AdapterSet(lm_base=_Nameless(), lm_ft=_Overscoring(),
+                                   parser=_Nameless())
+    runs = []
+    for _ in range(2):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="wordbits"):
+            vertical, _sidecar = pipeline.annotate_stage(cfg, adapters)
+        runs.append([r.getMessage() for r in caplog.records])
+    assert runs[0] == runs[1]
+    messages = set(runs[0])
+    assert "adapter _Nameless failed, segment retained with null bits: down" in messages
+    assert ("adapter _Overscoring scored subwords past the last word; "
+            "their bits are not kept") in messages
+    assert any(m.startswith("parser _Nameless failed on ") for m in messages)
+    assert not any(" at 0x" in m for m in messages)
+    with gzip.open(vertical, "rt", encoding="utf-8") as f:
+        header = [ln.rstrip("\n") for ln in f if ln.startswith("# adapter_")]
+    assert header == ["# adapter_lm_base=_Nameless", "# adapter_lm_ft=_Overscoring",
+                      "# adapter_parser=_Nameless"]
+
+
+def _table_cells(path):
+    """A gzip TSV's body rows as dicts of raw cells, keyed by column."""
+    with gzip.open(path, "rt", encoding="utf-8") as f:
+        lines = [ln.rstrip("\n").split("\t") for ln in f if not ln.startswith("#")]
+    return [dict(zip(lines[0], cells)) for cells in lines[1:]]
+
+
+def test_aggregate_stage_without_a_sidecar_nulls_subword_means_and_bleu(tmp_path):
+    cfg = _stage_corpus(tmp_path)
+    vertical, sidecar = pipeline.annotate_stage(
+        cfg, pipeline.adapters_from_config(cfg, mock_fallback=True))
+    tables = {}
+    for name, side in (("with", sidecar), ("without", None)):
+        agg_cfg = replace(cfg, input=vertical, output_dir=str(tmp_path / name))
+        tables[name] = [_table_cells(p) for p in pipeline.aggregate_stage(agg_cfg, side)]
+    for with_rows, without_rows in zip(tables["with"], tables["without"]):
+        assert len(with_rows) == len(without_rows) > 0
+        for full, bare in zip(with_rows, without_rows):
+            for column, cell in full.items():
+                if column.endswith("_AvS"):
+                    assert bare[column] == cell != "NA"
+                elif column.endswith(("_AvS_subw", "_bleu")):
+                    assert bare[column] == "NA" != cell
+    assert [len(t) for t in tables["with"]] == [12, 6]
