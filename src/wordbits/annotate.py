@@ -143,7 +143,6 @@ class TokenizedSegment:
     surface: list = field(default_factory=list)  # row per surface-word ordinal, FPs too
     scored: list = field(default_factory=list)  # non-FP surface rows, parser order
     words: list = field(default_factory=list)  # their tokens, which scorers realign to
-    sentence_boundaries: list = field(default_factory=list)
     text: str = ""  # detokenized parser input (FPs absent)
     # surface-word ordinal -> (start, end) in text, for each word placed there
     spans: dict = field(default_factory=dict)
@@ -184,11 +183,11 @@ def validate_sentence_tree(tokens) -> list:
 
 
 def _surface_rows(sentences):
-    """Flatten sentences into (sent_idx, surface ConlluToken, its integer id
-    or None for a range, expansions as (integer id, ConlluToken) pairs).  A
-    token id that is not an integer, or an empty range, raises ValueError."""
+    """Flatten sentences into (surface ConlluToken, its integer id or None
+    for a range, expansions as (integer id, ConlluToken) pairs).  A token id
+    that is not an integer, or an empty range, raises ValueError."""
     out = []
-    for si, sent in enumerate(sentences):
+    for sent in sentences:
         i = 0
         while i < len(sent):
             tok = sent[i]
@@ -197,11 +196,11 @@ def _surface_rows(sentences):
                 n = hi - lo + 1
                 if n < 1:
                     raise ValueError(f"token range {tok.id} is empty")
-                out.append((si, tok, None,
+                out.append((tok, None,
                             [(int(exp.id), exp) for exp in sent[i + 1:i + 1 + n]]))
                 i += 1 + n
             else:
-                out.append((si, tok, int(tok.id), []))
+                out.append((tok, int(tok.id), []))
                 i += 1
     return out
 
@@ -263,7 +262,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         try:
             sentences = adapter.annotate(text, lang) if text else []
             surfaces = _surface_rows(sentences)
-            owners, spans = _place_forms([s.form for _, s, _, _ in surfaces],
+            owners, spans = _place_forms([s.form for s, _, _ in surfaces],
                                          scored_tokens, clean_text)
         except Exception as exc:
             log.warning("parser %s failed on %r: %s; keeping token-only rows",
@@ -271,7 +270,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
             parsed = False
     if not parsed:
         # no parser, or a failed one: one row per whitespace token
-        surfaces = [(0, ConlluToken("0", tok), None, []) for tok in scored_tokens]
+        surfaces = [(ConlluToken("0", tok), None, []) for tok in scored_tokens]
         owners, spans = _place_forms(scored_tokens, scored_tokens, clean_text)
 
     # owners index scored_tokens; translate to positions among all ws tokens
@@ -288,15 +287,11 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         seg.surface.append(row)
         seg.word_rows.append(row)
 
-    last_sent = None
-    for (si, tok, tok_id, expansions), owner, span in zip(surfaces, owners, spans):
+    for (tok, tok_id, expansions), owner, span in zip(surfaces, owners, spans):
         # an FP row goes before the first parsed token at or past it
         while pending_fps and pending_fps[-1] < owner:
             add_fp()
         ordinal = len(seg.surface)
-        if si != last_sent:
-            seg.sentence_boundaries.append(ordinal)
-            last_sent = si
         seg.spans[ordinal] = span
         surface = WordRow(
             word_id=ids.with_word(f"{ordinal + 1:03d}"),

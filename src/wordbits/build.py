@@ -44,7 +44,7 @@ class SplitResult:
     dropped: list  # subsampled away during balancing
 
 
-def filter_empty_segments(doc: DocumentPair, mode: str = "wr"):
+def filter_empty_segments(doc: DocumentPair):
     """Apply the written-corpus empty-segment rule.
 
     An empty-aligned segment in the middle of a document drops the whole
@@ -53,8 +53,6 @@ def filter_empty_segments(doc: DocumentPair, mode: str = "wr"):
     Returns (kept document or None, report dict).
     """
     report = {"doc_id": doc.doc_id, "dropped_doc": False, "removed_segments": []}
-    if mode != "wr":
-        return doc, report
     n = len(doc.segments)
     removable = set()
     for i, seg in enumerate(doc.segments):

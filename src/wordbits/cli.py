@@ -1,9 +1,11 @@
 """Command line entry point.
 
-Subcommands cover the pipeline stages (normalize, annotate, aggregate), the
-corpus builder (build, stats), and the two analyses (fp-analyze, gam).  Every
-output carries the provenance header of ``pipeline.provenance``.  Warnings
-from the wordbits loggers go to stderr as "LEVEL logger: message" lines.
+Subcommands cover the pipeline stages (normalize; annotate, which also
+writes the long and wide tables; aggregate, for a vertical annotated
+elsewhere), the corpus builder (build, stats), and the two analyses
+(fp-analyze, gam).  Every output carries the provenance header of
+``pipeline.provenance``.  Warnings from the wordbits loggers go to stderr
+as "LEVEL logger: message" lines.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ import sys
 from dataclasses import fields
 
 from . import __version__, build, gam, pipeline
-from .config import RunConfig, load_config
+from .config import CHOICES, RunConfig, load_config
 from .fp import GROUPING_FIELDS, PREDICTORS, build_fp_dataset, fit_logistic
 from .pipeline import output_path, provenance, require_input
 from .records import ParallelSegment
@@ -26,10 +28,10 @@ def _add_common(p):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--input", help="input path for this stage")
     p.add_argument("--output-dir", dest="output_dir")
-    p.add_argument("--direction", dest="lpair", choices=("de-en", "en-de"),
+    p.add_argument("--direction", dest="lpair", choices=CHOICES["lpair"],
                    help="language pair, source first")
-    p.add_argument("--mode", choices=("sp", "wr"))
-    p.add_argument("--scoring", choices=("bounded", "window"))
+    p.add_argument("--mode", choices=CHOICES["mode"])
+    p.add_argument("--scoring", choices=CHOICES["scoring"])
     p.add_argument("--window", type=int)
     p.add_argument("--cap", type=int)
     p.add_argument("--seed", type=int)
@@ -58,22 +60,22 @@ def _config_from_args(args) -> RunConfig:
     return load_config(args.config, os.environ, overrides)
 
 
+def _report(written, unit="rows") -> None:
+    print("wrote " + ", ".join(f"{out} ({n} {unit})" for out, n in written.items()))
+
+
 def cmd_normalize(args) -> None:
-    [(out, n)] = pipeline.normalize_stage(_config_from_args(args)).items()
-    print(f"wrote {out} ({n} segments)")
+    _report(pipeline.normalize_stage(_config_from_args(args)), "segments")
 
 
 def cmd_annotate(args) -> None:
     cfg = _config_from_args(args)
     adapters = pipeline.adapters_from_config(cfg, mock_fallback=args.mock)
-    (out, n), (side_out, _) = pipeline.annotate_stage(cfg, adapters).items()
-    print(f"wrote {out} ({n} rows) and {side_out}")
+    _report(pipeline.annotate_stage(cfg, adapters))
 
 
 def cmd_aggregate(args) -> None:
-    written = pipeline.aggregate_stage(_config_from_args(args), args.sidecar)
-    (long_out, n_long), (wide_out, n_wide) = written.items()
-    print(f"wrote {long_out} ({n_long} rows) and {wide_out} ({n_wide} rows)")
+    _report(pipeline.aggregate_stage(_config_from_args(args)))
 
 
 def _load_documents(path) -> list:
@@ -93,7 +95,7 @@ def cmd_build(args) -> None:
     reports = []
     by_dir = {}
     for doc in written:
-        doc, report = build.filter_empty_segments(doc, mode="wr")
+        doc, report = build.filter_empty_segments(doc)
         reports.append(report)
         if doc is not None:
             by_dir.setdefault(doc.lpair, []).append(doc)
@@ -215,9 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     command("normalize", cmd_normalize, "raw parallel TSV -> clean segments")
-    command("annotate", cmd_annotate, "clean segments -> vertical word rows")
-    p = command("aggregate", cmd_aggregate, "vertical rows -> long/wide tables")
-    p.add_argument("--sidecar", help="sidecar JSONL from the annotate stage")
+    command("annotate", cmd_annotate, "clean segments -> vertical, long and wide tables")
+    command("aggregate", cmd_aggregate, "vertical from elsewhere -> long/wide tables")
     p = command("build", cmd_build, "filter documents and cut train/test splits")
     p.add_argument("--spoken", help="spoken documents JSONL for overlap removal")
     command("stats", cmd_stats, "corpus description table")

@@ -2,6 +2,7 @@
 
 Config files are plain key=value lines ("#" comments allowed).  Environment
 variables use the WORDBITS_ prefix with the upper-cased key (WORDBITS_SEED=7).
+Values from every source are checked; a rejection names the key.
 """
 
 from __future__ import annotations
@@ -14,13 +15,18 @@ from .surprisal import SUBWORD_CAP, WINDOW
 
 ENV_PREFIX = "WORDBITS_"
 
+# the values each of these keys may take; the CLI flags offer the same
+CHOICES = {"lpair": ("de-en", "en-de"), "mode": ("sp", "wr"),
+           "scoring": ("bounded", "window")}
+POSITIVE = ("cap", "window")  # integer keys that must be at least 1
+
 
 @dataclass
 class RunConfig:
     input: str = None
     output_dir: str = "out"
     lpair: str = "de-en"
-    mode: str = "sp"  # sp | wr
+    mode: str = "sp"
     src_ttype: str = "ORG"
     tgt_ttype: str = None  # default: SI when spoken, TR when written
     replay_lm_base: str = None
@@ -34,7 +40,7 @@ class RunConfig:
     align_threshold: float = 0.01
     score_cutoff_deen: float = 0.3
     score_cutoff_ende: float = 0.5
-    scoring: str = "bounded"  # bounded | window
+    scoring: str = "bounded"
     window: int = WINDOW
     cap: int = SUBWORD_CAP
     seed: int = 1
@@ -65,13 +71,20 @@ def target_ttype(mode: str, tgt_ttype: str) -> str:
 _FIELDS = [f.name for f in fields(RunConfig)]
 
 
-def _coerce(name: str, value: str):
-    # every field without a numeric default is a string
-    default = getattr(RunConfig(), name)
-    if isinstance(default, int):
-        return int(value)
-    if isinstance(default, float):
-        return float(value)
+def _checked(name: str, value):
+    """value for field name, parsed from a string if the field is numeric;
+    one that does not parse or is out of range raises ValueError naming it."""
+    kind = type(getattr(RunConfig(), name))  # str unless the default is numeric
+    if kind in (int, float) and isinstance(value, str):
+        try:
+            value = kind(value)
+        except ValueError:
+            raise ValueError(f"config key {name!r}: {value!r} is not {kind.__name__}") from None
+    if name in CHOICES and value not in CHOICES[name]:
+        raise ValueError(f"config key {name!r}: {value!r} is not one of "
+                         f"{', '.join(CHOICES[name])}")
+    if name in POSITIVE and value < 1:
+        raise ValueError(f"config key {name!r}: {value!r} is below 1")
     return value
 
 
@@ -107,10 +120,7 @@ def load_config(path=None, env=None, overrides=None) -> RunConfig:
     unknown = set(merged) - set(_FIELDS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    kwargs = {}
-    for key, value in merged.items():
-        kwargs[key] = _coerce(key, value) if isinstance(value, str) else value
-    return RunConfig(**kwargs)
+    return RunConfig(**{key: _checked(key, value) for key, value in merged.items()})
 
 
 def config_hash(cfg: RunConfig) -> str:

@@ -410,15 +410,15 @@ def _pirls(design, d, max_iter, tol, start=None, scratch=None):
 
 
 def _laplace_loglik(design, d, beta, u, scratch=None):
+    """(Laplace log-likelihood, mu, _Reduced penalized Hessian) at (beta, u)."""
     eta = _linear_predictor(design, beta, u)
-    _mu, w = _weights(eta)
-    ll_data = float(np.sum(design.y * eta - _softplus(eta)))
-    if not d.size:
-        return ll_data
-    logdet_huu = _Reduced(_hessian(design, w, d, scratch),
-                          design.Xt.shape[0]).logdet_uu()
-    return (ll_data - 0.5 * float(u @ (d * u))
-            + 0.5 * float(np.sum(np.log(d))) - 0.5 * float(logdet_huu))
+    mu, w = _weights(eta)
+    ll = float(np.sum(design.y * eta - _softplus(eta)))
+    hessian = _Reduced(_hessian(design, w, d, scratch), design.Xt.shape[0])
+    if d.size:
+        ll = (ll - 0.5 * float(u @ (d * u))
+              + 0.5 * float(np.sum(np.log(d))) - 0.5 * float(hessian.logdet_uu()))
+    return ll, mu, hessian
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -541,7 +541,7 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
         d = d_vector(s2)
         beta, u, _ = _pirls(design, d, max_iter, tol, start, scratch)
         start = beta, u
-        return _laplace_loglik(design, d, beta, u, scratch), beta, u
+        return _laplace_loglik(design, d, beta, u, scratch)
 
     if factors:
         log_lo, log_hi = math.log(1e-8), math.log(1e3)
@@ -557,13 +557,10 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
                     abs(sigma2[f] - previous[f]) for f in factors) < 1e-8:
                 break
 
-    d = d_vector(sigma2)
-    loglik, beta, u = profile(sigma2)
-    mu, w = _weights(_linear_predictor(design, beta, u))
-
+    loglik, mu, hessian = profile(sigma2)
+    beta, _u = start  # the optimum that profile just evaluated
     # standard errors from the beta block of the inverse penalized Hessian
-    cov = _Reduced(_hessian(design, w, d, scratch), p).fixed_cov()
-    se = np.sqrt(np.clip(np.diag(cov), 0.0, None))
+    se = np.sqrt(np.clip(np.diag(hessian.fixed_cov()), 0.0, None))
 
     fitted = np.empty_like(mu)
     fitted[design.order] = mu  # back in input order

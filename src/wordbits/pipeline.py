@@ -3,6 +3,9 @@ annotated vertical rows -> long/wide aggregates.
 
 Each ``*_stage`` function reads one stage's input and writes its outputs,
 with provenance, under ``cfg.output_dir``; each CLI stage command calls one.
+Annotation also returns in-memory "sidecar" records of what the rows cannot
+carry (subword means, pseudo-BLEU, disfluency counts), which the annotate
+stage aggregates with; ``aggregate_stage`` leaves those columns NA.
 Annotation runs on the calling thread in doc_id order, so identical inputs
 and adapters give byte-identical outputs and the same warnings in order.
 """
@@ -253,7 +256,6 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
             rows_out.extend(sides[side].word_rows)
             sidecar.append({**ids, "side": side,
                             "counts": seg["sides"][side]["counts"],
-                            "n_sentences": len(sides[side].sentence_boundaries),
                             **extra[side]})
         sidecar.append({**ids, "side": "pair", **extra["pair"]})
     return rows_out, sidecar
@@ -330,19 +332,11 @@ def _mean_or_none(values):
 
 
 def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
-    """Vertical rows (+ optional sidecar) -> (long records, wide records).
-
-    Subword-level averages and BLEU live only in the sidecar; without it
-    (sidecar None) those columns stay null.
-    """
-    side_info = {}
-    pair_info = {}
-    for rec in sidecar or []:
-        key = (str(rec["doc_id"]), str(rec["seg_id"]))
-        if rec.get("side") == "pair":
-            pair_info[key] = rec
-        else:
-            side_info[key + (rec["side"],)] = rec
+    """Vertical rows and annotate_corpus's sidecar records -> (long records,
+    wide records).  Subword means, BLEU and disfluency counts come only from
+    the sidecar; with sidecar None, as for a vertical read from a file,
+    those columns stay null."""
+    info_of = {(rec["doc_id"], rec["seg_id"], rec["side"]): rec for rec in sidecar or ()}
 
     groups = {}
     for row in word_rows:
@@ -355,7 +349,7 @@ def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
         surface = [r for r in rows if not r.is_expansion]
         word = [r for r in surface if not r.is_fp]
         side = "src" if ttype == cfg.src_ttype else "tgt"
-        info = side_info.get((str(doc_id), str(seg_id), side), {})
+        info = info_of.get((doc_id, seg_id, side), {})
         counts = info.get("counts") or {}
         rec = SegmentRecord(
             doc_id=doc_id, seg_id=seg_id,
@@ -386,7 +380,7 @@ def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
             wide.tgt_raw_seg = rows[0].raw_seg
             wide.base_mt_avs = _mean_or_none([r.srp_base_mt for r in word])
             wide.ft_mt_avs = _mean_or_none([r.srp_ft_mt for r in word])
-            pair = pair_info.get((str(doc_id), str(seg_id)), {})
+            pair = info_of.get((doc_id, seg_id, "pair"), {})
             wide.base_mt_avs_subw = pair.get("base_mt_avs_subw")
             wide.ft_mt_avs_subw = pair.get("ft_mt_avs_subw")
             wide.base_bleu = pair.get("base_bleu")
@@ -421,31 +415,32 @@ def normalize_stage(cfg: RunConfig) -> dict:
     return {out: len(segs)}
 
 
+def _write_tables(cfg: RunConfig, prov: dict, **tables) -> dict:
+    """Write each format's records to <format>.tsv.gz under one provenance."""
+    written = {}
+    for fmt, records in tables.items():
+        out = output_path(cfg, f"{fmt}.tsv.gz")
+        write_table(records, fmt, out, provenance=prov)
+        written[out] = len(records)
+    return written
+
+
 def annotate_stage(cfg: RunConfig, adapters: AdapterSet) -> dict:
-    """Clean segments at cfg.input -> vertical.tsv.gz and sidecar.jsonl.gz,
-    scored by the caller's adapters, whose names the provenance records."""
+    """Clean segments at cfg.input -> vertical.tsv.gz, long.tsv.gz and
+    wide.tsv.gz, scored by the caller's adapters, whose names the
+    provenance records."""
     _meta, segs = read_jsonl(require_input(cfg))
     rows, sidecar = annotate_corpus(segs, cfg, adapters)
+    longs, wides = aggregate_rows(rows, sidecar, cfg)
     prov = provenance(cfg, "annotate", **{
         f"adapter_{role}": adapter_name(a) for role in ROLES
         if (a := getattr(adapters, role)) is not None})
-    out = output_path(cfg, "vertical.tsv.gz")
-    write_table(rows, "vertical", out, provenance=prov)
-    side_out = output_path(cfg, "sidecar.jsonl.gz")
-    write_jsonl(side_out, sidecar, meta=prov)
-    return {out: len(rows), side_out: len(sidecar)}
+    return _write_tables(cfg, prov, vertical=rows, long=longs, wide=wides)
 
 
-def aggregate_stage(cfg: RunConfig, sidecar=None) -> dict:
-    """Vertical rows at cfg.input, plus the annotate stage's sidecar file if
-    given, -> long.tsv.gz and wide.tsv.gz.  Without a sidecar the columns
-    taken from it (subword means, BLEU, disfluency counts) are NA."""
-    rows = read_table(require_input(cfg), "vertical")
-    side_records = read_jsonl(sidecar)[1] if sidecar else None
-    longs, wides = aggregate_rows(rows, side_records, cfg)
-    prov = provenance(cfg, "aggregate")
-    long_out = output_path(cfg, "long.tsv.gz")
-    wide_out = output_path(cfg, "wide.tsv.gz")
-    write_table(longs, "long", long_out, provenance=prov)
-    write_table(wides, "wide", wide_out, provenance=prov)
-    return {long_out: len(longs), wide_out: len(wides)}
+def aggregate_stage(cfg: RunConfig) -> dict:
+    """Vertical rows at cfg.input, annotated elsewhere, -> long.tsv.gz and
+    wide.tsv.gz.  The columns only annotation knows (subword means, BLEU,
+    disfluency counts) are NA."""
+    longs, wides = aggregate_rows(read_table(require_input(cfg), "vertical"), None, cfg)
+    return _write_tables(cfg, provenance(cfg, "aggregate"), long=longs, wide=wides)

@@ -32,7 +32,10 @@ def test_example_text_and_words(parsed_example):
     assert seg.words == ["It's", "all", "very", "well-intended", ".",
                          "But", "there's"]
     assert [k for k, row in enumerate(seg.surface) if row.is_fp] == [2, 3, 4]
-    assert seg.sentence_boundaries == [0, 8]
+    # the parser's token ids restart at 1 in the second sentence, ordinal 8;
+    # ranges and FPs have none
+    assert [row.id for row in seg.surface] == [None, 3, None, None, None, 4, 5, 6,
+                                              1, None]
 
 
 def test_example_row_ids(parsed_example):

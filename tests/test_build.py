@@ -49,13 +49,6 @@ def test_edge_empty_removed_regardless_of_length():
     assert report["removed_segments"] == [0, 2]
 
 
-def test_spoken_mode_keeps_empties():
-    segs = [_seg(0), _seg(1, tgt="")]
-    kept, report = filter_empty_segments(_doc("d4", segs), mode="sp")
-    assert kept.segments == segs
-    assert report["removed_segments"] == []
-
-
 def test_score_filter_is_strict():
     docs = [
         _doc("a", [_seg(0)], alignment_score=0.3),

@@ -26,7 +26,7 @@ import wordbits
 from wordbits import pipeline
 from wordbits.adapters import write_replay
 from wordbits.cli import _config_from_args, build_parser, main
-from wordbits.config import RunConfig
+from wordbits.config import CHOICES, RunConfig
 from wordbits.fp import PREDICTORS
 from wordbits.tables import read_table, write_table
 
@@ -35,7 +35,7 @@ _PYPROJECT = Path(__file__).resolve().parent.parent / "pyproject.toml"
 
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory, replay_files, example_input_tsv):
-    """Run normalize -> annotate -> aggregate once; return paths and argv."""
+    """Run normalize -> annotate once; return paths and argv."""
     out = tmp_path_factory.mktemp("cli_out")
     manifest = out / "replay.json"
     manifest.write_text(json.dumps({
@@ -53,10 +53,8 @@ def pipeline_run(tmp_path_factory, replay_files, example_input_tsv):
         "normalize": ["normalize", "--input", example_input_tsv] + common,
         "annotate": ["annotate", "--input", str(out / "clean.jsonl.gz"),
                      "--replay", str(manifest)] + common,
-        "aggregate": ["aggregate", "--input", str(out / "vertical.tsv.gz"),
-                      "--sidecar", str(out / "sidecar.jsonl.gz")] + common,
     }
-    for stage in ("normalize", "annotate", "aggregate"):
+    for stage in ("normalize", "annotate"):
         assert main(argv[stage]) == 0, stage
     return {"dir": out, "argv": argv}
 
@@ -140,13 +138,35 @@ def test_aggregate_stage(pipeline_run):
 
 
 def test_rerun_is_byte_identical(pipeline_run):
-    names = ("clean.jsonl.gz", "vertical.tsv.gz", "sidecar.jsonl.gz",
-             "long.tsv.gz", "wide.tsv.gz")
+    names = ("clean.jsonl.gz", "vertical.tsv.gz", "long.tsv.gz", "wide.tsv.gz")
     before = {n: (pipeline_run["dir"] / n).read_bytes() for n in names}
-    for stage in ("normalize", "annotate", "aggregate"):
+    for stage in ("normalize", "annotate"):
         assert main(pipeline_run["argv"][stage]) == 0
     for n in names:
         assert (pipeline_run["dir"] / n).read_bytes() == before[n], n
+
+
+def test_annotate_writes_no_sidecar_file(pipeline_run):
+    """annotate writes the three tables under one provenance, which names
+    the adapters, and no sidecar file."""
+    written = sorted(p.name for p in pipeline_run["dir"].iterdir())
+    assert written == ["clean.jsonl.gz", "long.tsv.gz", "replay.json",
+                       "vertical.tsv.gz", "wide.tsv.gz"]
+    headers = set()
+    for name in ("vertical.tsv.gz", "long.tsv.gz", "wide.tsv.gz"):
+        with gzip.open(pipeline_run["dir"] / name, "rt", encoding="utf-8") as f:
+            headers.add(tuple(ln for ln in f if ln.startswith("# ")))
+    [header] = headers
+    assert "# command=annotate\n" in header
+    assert "# adapter_parser=parser\n" in header
+
+
+def test_aggregate_sidecar_flag_is_gone(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["aggregate", "--input", str(tmp_path / "vertical.tsv.gz"),
+              "--sidecar", str(tmp_path / "sidecar.jsonl.gz")])
+    assert exc.value.code == 2
+    assert "--sidecar" in capsys.readouterr().err
 
 
 def test_source_lm_replay_flag(pipeline_run, tmp_path, capsys):
@@ -216,6 +236,41 @@ def test_common_flag_sets_its_config_key(flags, key, value, monkeypatch):
         monkeypatch.delenv(var)
     cfg = _config_from_args(build_parser().parse_args(["annotate"] + flags))
     assert cfg == replace(RunConfig(), **{key: value})
+
+
+@pytest.mark.parametrize("source", ["env", "file", "flag"])
+@pytest.mark.parametrize("key, value", [
+    ("scoring", "windows"), ("mode", "spoken"), ("lpair", "de_en"),
+    ("cap", "-2"), ("window", "0"), ("cap", "abc")])
+def test_bad_config_value_is_rejected_naming_its_key(key, value, source, tmp_path,
+                                                     monkeypatch, capsys):
+    """A value outside its key's choices, below 1 for cap or window, or not
+    a number for a numeric key stops the command before it reads input,
+    whether it comes from the environment, a config file or a flag."""
+    for var in [v for v in os.environ if v.startswith("WORDBITS_")]:
+        monkeypatch.delenv(var)
+    argv = ["normalize", "--output-dir", str(tmp_path)]
+    flag = "--direction" if key == "lpair" else f"--{key}"
+    if source == "env":
+        monkeypatch.setenv(f"WORDBITS_{key.upper()}", value)
+    elif source == "file":
+        (tmp_path / "run.cfg").write_text(f"{key}={value}\n", encoding="utf-8")
+        argv += ["--config", str(tmp_path / "run.cfg")]
+    else:
+        argv += [flag, value]
+    if source == "flag" and (key in CHOICES or value == "abc"):
+        # the flag's own choices or type reject it first
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert flag in capsys.readouterr().err
+        return
+    assert main(argv) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    assert record["message"].startswith(f"config key {key!r}: ")
+    assert value in record["message"]
+    assert not list(tmp_path.glob("*.gz"))
 
 
 def test_errors_become_json_on_stderr(tmp_path, capsys):

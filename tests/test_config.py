@@ -49,6 +49,20 @@ def test_coercion_from_strings():
     assert load_config(env={}, overrides={"seed": 5}).seed == 5
 
 
+def test_checked_values(tmp_path):
+    cfg = load_config(env={"WORDBITS_CAP": "1", "WORDBITS_WINDOW": "1",
+                           "WORDBITS_LPAIR": "en-de"})
+    assert (cfg.cap, cfg.window, cfg.lpair) == (1, 1, "en-de")
+    with pytest.raises(ValueError, match="config key 'align_threshold': 'x' is not float"):
+        load_config(env={"WORDBITS_ALIGN_THRESHOLD": "x"})
+    with pytest.raises(ValueError, match="config key 'seed': '1.5' is not int"):
+        load_config(env={}, overrides={"seed": "1.5"})
+    with pytest.raises(ValueError, match="config key 'mode': 'SP' is not one of sp, wr"):
+        load_config(env={}, overrides={"mode": "SP"})
+    with pytest.raises(ValueError, match="config key 'window': 0 is below 1"):
+        load_config(env={}, overrides={"window": 0})
+
+
 def test_unknown_keys_fail(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("sede=3\n", encoding="utf-8")

@@ -40,8 +40,7 @@ from wordbits.cli import main
 d = sys.argv[1]
 for argv in (["normalize", "--input", d + "/input.tsv"],
              ["annotate", "--mock", "--input", d + "/clean.jsonl.gz"],
-             ["aggregate", "--input", d + "/vertical.tsv.gz",
-              "--sidecar", d + "/sidecar.jsonl.gz"]):
+             ["aggregate", "--input", d + "/vertical.tsv.gz"]):
     assert main(argv + ["--output-dir", d, "--mode", "sp"]) == 0, argv
 """
     assert _loaded_scipy(script, str(tmp_path)) == []

@@ -1,16 +1,17 @@
-"""Pinned output bytes of normalize -> annotate -> aggregate --sidecar.
+"""Pinned output bytes of normalize -> annotate.
 
 A seeded corpus with transcript notation, filled pauses, contractions and an
 empty side runs through the command line with mock adapters in three modes,
 and the worked example of conftest.py runs through the replay adapters.  The
 sha256 of each output body (everything below the provenance lines, which
 carry the config hash and so the run's paths) is pinned: a change that
-alters any table or sidecar byte fails here.
+alters any table byte fails here.
 """
 
 import gzip
 import hashlib
 import json
+import os
 import random
 from dataclasses import replace
 
@@ -18,8 +19,8 @@ import pytest
 
 from wordbits.cli import main
 from wordbits.config import RunConfig
-from wordbits.pipeline import (INPUT_COLUMNS, adapters_from_config, aggregate_stage,
-                               annotate_stage, normalize_stage)
+from wordbits.pipeline import (INPUT_COLUMNS, adapters_from_config, annotate_stage,
+                               normalize_stage)
 
 _DE = ("wir", "haben", "das", "Verfahren", "heute", "nicht", "gesehen",
        "Kommission", "Parlament", "3,5", "Prozent", "z.B.", "Haushalt",
@@ -86,8 +87,6 @@ _PINNED = {
             "eff4f08725236fb61db2fc7b61c2769c5370a8fa5fc18f568f376ae011c28df9",
         "vertical.tsv.gz":
             "458c48a55f4f3a7b77577d15cf0ed3bdfc244c8f50d8827e36b5a2aabeee7054",
-        "sidecar.jsonl.gz":
-            "72fafe95483d3c3cf43af4563bf8c6d9ed2d5c19f1152f239b0ec82c887c5e4a",
         "long.tsv.gz":
             "9464ef5db3e3cd1235658356393cb88720c103c50ce9d13e031c0fb582868a7a",
         "wide.tsv.gz":
@@ -98,8 +97,6 @@ _PINNED = {
             "eff4f08725236fb61db2fc7b61c2769c5370a8fa5fc18f568f376ae011c28df9",
         "vertical.tsv.gz":
             "10f2186ef515f5604b35840ce23055b2c9dfc7badfd32666b70f15538c305406",
-        "sidecar.jsonl.gz":
-            "4269d28662e823d4d2eba2412365456a144917f5942f6fdbb700e860995e6e27",
         "long.tsv.gz":
             "e42fd3957c0addfcad94805614a0ed407bda713522f1be5e3bb7c3bf427d648e",
         "wide.tsv.gz":
@@ -110,8 +107,6 @@ _PINNED = {
             "1cdd38d544deeeb676ac4f82e498dab9f4125e4c56e86f886def5cc3dfc08c04",
         "vertical.tsv.gz":
             "cdc7e78898afdcde4c4faeaadc4413dfc683236e301dbc76e02a2c34da80d1ba",
-        "sidecar.jsonl.gz":
-            "674b45b18302d0344046cebe0ee4a8abd531954e0f33d9d0b2f8de42e711c63b",
         "long.tsv.gz":
             "40f2c736debd3f6a0433194cba39b8fa2629eb867dc2b13d1e7a5e36b648da0a",
         "wide.tsv.gz":
@@ -119,8 +114,7 @@ _PINNED = {
     },
 }
 
-_OUTPUTS = ("clean.jsonl.gz", "vertical.tsv.gz", "sidecar.jsonl.gz",
-            "long.tsv.gz", "wide.tsv.gz")
+_OUTPUTS = ("clean.jsonl.gz", "vertical.tsv.gz", "long.tsv.gz", "wide.tsv.gz")
 
 
 @pytest.mark.parametrize("mode", sorted(_MODES))
@@ -133,14 +127,12 @@ def test_outputs_match_pinned_bytes(mode, tmp_path):
     assert main(["normalize", "--input", str(tsv)] + common) == 0
     assert main(["annotate", "--input", str(out / "clean.jsonl.gz"), "--mock"]
                 + common) == 0
-    assert main(["aggregate", "--input", str(out / "vertical.tsv.gz"),
-                 "--sidecar", str(out / "sidecar.jsonl.gz")] + common) == 0
     got = {name: _body_sha(out / name) for name in _OUTPUTS}
     assert got == _PINNED[mode]
 
 
 def test_stage_functions_write_the_pinned_and_the_cli_bytes(tmp_path):
-    """The three stage functions, called from Python with the adapters that
+    """The two stage functions, called from Python with the adapters that
     --mock builds, write the pinned bodies, and the same whole files as the
     command line with the same config and paths."""
     flags, src_vocab, tgt_vocab = _MODES["sp-bounded"]
@@ -150,16 +142,15 @@ def test_stage_functions_write_the_pinned_and_the_cli_bytes(tmp_path):
     cfg = RunConfig(input=str(tsv), output_dir=str(out), lpair="de-en", mode="sp")
     [clean] = normalize_stage(cfg)
     annotate_cfg = replace(cfg, input=clean)
-    vertical, sidecar = annotate_stage(
+    written = annotate_stage(
         annotate_cfg, adapters_from_config(annotate_cfg, mock_fallback=True))
-    aggregate_stage(replace(cfg, input=vertical), sidecar)
+    assert [os.path.basename(p) for p in written] == list(_OUTPUTS[1:])
     assert {name: _body_sha(out / name) for name in _OUTPUTS} == _PINNED["sp-bounded"]
     staged = {name: (out / name).read_bytes() for name in _OUTPUTS}
 
     common = ["--output-dir", str(out)] + flags
     assert main(["normalize", "--input", str(tsv)] + common) == 0
     assert main(["annotate", "--input", clean, "--mock"] + common) == 0
-    assert main(["aggregate", "--input", vertical, "--sidecar", sidecar] + common) == 0
     assert {name: (out / name).read_bytes() for name in _OUTPUTS} == staged
 
 
@@ -170,8 +161,6 @@ _PINNED_REPLAY = {
         "bb54a34aabafecf1bcb3bd6af0f5bfd143bc42c27becbdb4f1d871bb9dcbb280",
     "vertical.tsv.gz":
         "b11061c0357c97f7c309bc45c132d6c9396b833ceaa8c7baec0619eff80ff255",
-    "sidecar.jsonl.gz":
-        "269281b58e6f2e7094c5c8dd4cab268c9025b7fc4c496341104d3053013f6434",
     "long.tsv.gz":
         "d83f6765f5e3f0e916c55afeec88b5a5ad81344768d665227dbbbfb7d55c9e3d",
     "wide.tsv.gz":
@@ -189,7 +178,5 @@ def test_replay_outputs_match_pinned_bytes(replay_files, example_input_tsv, tmp_
     assert main(["normalize", "--input", example_input_tsv] + common) == 0
     assert main(["annotate", "--input", str(out / "clean.jsonl.gz"),
                  "--replay", str(manifest)] + common) == 0
-    assert main(["aggregate", "--input", str(out / "vertical.tsv.gz"),
-                 "--sidecar", str(out / "sidecar.jsonl.gz")] + common) == 0
     got = {name: _body_sha(out / name) for name in _OUTPUTS}
     assert got == _PINNED_REPLAY

@@ -637,7 +637,7 @@ def test_nameless_adapters_are_named_by_their_class(tmp_path, caplog):
     for _ in range(2):
         caplog.clear()
         with caplog.at_level(logging.WARNING, logger="wordbits"):
-            vertical, _sidecar = pipeline.annotate_stage(cfg, adapters)
+            vertical, _long, _wide = pipeline.annotate_stage(cfg, adapters)
         runs.append([r.getMessage() for r in caplog.records])
     assert runs[0] == runs[1]
     messages = set(runs[0])
@@ -660,19 +660,23 @@ def _table_cells(path):
 
 
 def test_aggregate_stage_without_a_sidecar_nulls_subword_means_and_bleu(tmp_path):
+    """aggregate, run on annotate's vertical, reproduces the long and wide
+    cells the rows carry and writes NA for those only annotation knows."""
     cfg = _stage_corpus(tmp_path)
-    vertical, sidecar = pipeline.annotate_stage(
+    vertical, *annotated = pipeline.annotate_stage(
         cfg, pipeline.adapters_from_config(cfg, mock_fallback=True))
-    tables = {}
-    for name, side in (("with", sidecar), ("without", None)):
-        agg_cfg = replace(cfg, input=vertical, output_dir=str(tmp_path / name))
-        tables[name] = [_table_cells(p) for p in pipeline.aggregate_stage(agg_cfg, side)]
-    for with_rows, without_rows in zip(tables["with"], tables["without"]):
-        assert len(with_rows) == len(without_rows) > 0
-        for full, bare in zip(with_rows, without_rows):
+    agg_cfg = replace(cfg, input=vertical, output_dir=str(tmp_path / "aggregate"))
+    tables = [(_table_cells(full), _table_cells(bare))
+              for full, bare in zip(annotated, pipeline.aggregate_stage(agg_cfg))]
+    assert [(len(full), len(bare)) for full, bare in tables] == [(12, 12), (6, 6)]
+    nulled = ("_AvS_subw", "_bleu", "disfluencies", "fillers", "fillers+3")
+    for full_rows, bare_rows in tables:
+        for full, bare in zip(full_rows, bare_rows):
+            assert full.keys() == bare.keys()
             for column, cell in full.items():
-                if column.endswith("_AvS"):
-                    assert bare[column] == cell != "NA"
-                elif column.endswith(("_AvS_subw", "_bleu")):
-                    assert bare[column] == "NA" != cell
-    assert [len(t) for t in tables["with"]] == [12, 6]
+                if column.endswith(("_AvS", "tokens", "wc_tok")):
+                    assert bare[column] == cell != "NA", column
+                elif column.endswith(nulled):
+                    assert bare[column] == "NA" != cell, column
+                else:
+                    assert bare[column] == cell, column
