@@ -31,7 +31,8 @@ record once, while it loads the file, into columns of immutable atoms:
            ``begins_word`` and ``is_punct_unit`` flags as one byte each, so
            about 18 bytes per subword besides the shared strings;
   argmax   a tuple of surfaces and ``bytes`` of ``begins_word`` flags;
-  parses   one tuple of CoNLL-U field values per token;
+  parses   one flat tuple: per sentence its token count, then the CoNLL-U
+           field values of its tokens;
   encoder  a tuple of surfaces, an int64 array of spans and one read-only
            float64 array of the vectors (about 8 bytes per vector float).
 

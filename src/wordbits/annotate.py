@@ -54,29 +54,40 @@ class ReplayParser(_ReplayBase):
     kind = "parser"
 
     def _decode(self, request, response) -> tuple:
-        """One tuple per sentence of one tuple of ConlluToken field values
-        per token."""
-        sentences = []
+        """The parse as one flat tuple: per sentence, its token count, then
+        the ConlluToken field values of its tokens one after another.  A
+        tuple of atoms is untracked by the first collection that sees it; one
+        holding tuples can stay tracked until a later one."""
+        values = []
         for sent in response:
-            tokens = []
+            values.append(len(sent))
             for rec in sent:
                 kw = {k: intern(v) if type(v) is str else v
                       for k in _CONLLU_KEYS if (v := rec.get(k)) is not None}
                 if "head" in kw:
                     kw["head"] = int(kw["head"])
-                tokens.append(tuple(ConlluToken(**kw)))
-            sentences.append(tuple(tokens))
-        return tuple(sentences)
+                values.extend(ConlluToken(**kw))
+        return tuple(values)
 
     def annotate(self, text: str, lang: str):
-        return [list(map(ConlluToken._make, sent))
-                for sent in self._lookup({"text": text, "lang": lang})]
+        flat = self._lookup({"text": text, "lang": lang})
+        width = len(_CONLLU_KEYS)
+        sentences = []
+        at = 0
+        while at < len(flat):
+            start, at = at + 1, at + 1 + flat[at] * width
+            # zip over one iterator cuts the run into token-sized tuples
+            sentences.append(list(map(ConlluToken._make,
+                                      zip(*[iter(flat[start:at])] * width))))
+        return sentences
 
 
 class MockParser:
     """Deterministic toy parser good enough for pipeline tests: splits
     trailing punctuation, expands common English contractions as multiword
-    tokens, ends a sentence at .!? and hangs every token off the first word."""
+    tokens, ends a sentence at .!? and hangs every token off the first word
+    (a sentence of punctuation alone off its first token): each sentence is
+    a valid tree."""
 
     kind = "parser"
     name = "mock-parser"
@@ -131,9 +142,13 @@ class MockParser:
                     rows.append(ConlluToken(
                         str(idx), part, lemma=part.lower(),
                         upos="PUNCT" if punct else ("NUM" if part[0].isdigit() else "X"),
-                        head=0 if idx == root else (root or 0),
                         deprel="root" if idx == root else ("punct" if punct else "dep")))
-            out.append(rows)
+            # the first word is known only now; punctuation before it hangs
+            # off it too, and a sentence of punctuation off its first token
+            head = root or 1
+            out.append([tok if tok.is_range else
+                        tok._replace(head=0 if int(tok.id) == head else head)
+                        for tok in rows])
         return out
 
 
@@ -235,6 +250,16 @@ def _place_forms(forms, ws_tokens, raw_seg):
     return owners, spans
 
 
+# The word-id strings "001" … "999": every row numbering a word below 1000
+# takes its string from here rather than formatting one of its own.
+_WORD_IDS = tuple(f"{k:03d}" for k in range(1, 1000))
+
+
+def _word_id(ordinal: int) -> str:
+    """The word-id string of 0-based surface-word ordinal."""
+    return _WORD_IDS[ordinal] if ordinal < len(_WORD_IDS) else f"{ordinal + 1:03d}"
+
+
 def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
                      adapter) -> TokenizedSegment:
     """Parse one clean segment into WordRow skeletons.
@@ -244,7 +269,8 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
     doc and seg set.  Surprisal and alignment columns are filled later.  A
     position not at an FP form is dropped with a warning: its token is a word.
     Without a parser (adapter None), or when it fails with a warning, each
-    whitespace token becomes one token-only row.
+    whitespace token becomes one token-only row; a parse with a sentence
+    that validate_sentence_tree finds broken counts as a failure.
     """
     ws_tokens = clean_text.split()
     positions = sorted(set(fp_positions or []))
@@ -262,6 +288,11 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         try:
             sentences = adapter.annotate(text, lang) if text else []
             surfaces = _surface_rows(sentences)
+            broken = [f"sentence {k}: {', '.join(problems)}"
+                      for k, sent in enumerate(sentences, start=1)
+                      if (problems := validate_sentence_tree(sent))]
+            if broken:
+                raise AdapterError(f"broken dependency tree ({'; '.join(broken)})")
             owners, spans = _place_forms([s.form for s, _, _ in surfaces],
                                          scored_tokens, clean_text)
         except Exception as exc:
@@ -282,7 +313,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
 
     def add_fp():
         ordinal = len(seg.surface)
-        row = WordRow(word_id=ids.with_word(f"{ordinal + 1:03d}"),
+        row = WordRow(word_id=ids.with_word(_word_id(ordinal)),
                       token=ws_tokens[pending_fps.pop()].casefold(), pos="FP")
         seg.surface.append(row)
         seg.word_rows.append(row)
@@ -293,8 +324,9 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
             add_fp()
         ordinal = len(seg.surface)
         seg.spans[ordinal] = span
+        word_id = _word_id(ordinal)
         surface = WordRow(
-            word_id=ids.with_word(f"{ordinal + 1:03d}"),
+            word_id=ids.with_word(word_id),
             id=tok_id,
             token=tok.form,
         )
@@ -311,7 +343,7 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
         seg.word_rows.append(surface)
         for k, (exp_id, exp) in enumerate(expansions, start=1):
             seg.word_rows.append(WordRow(
-                word_id=ids.with_word(f"{ordinal + 1:03d}", k),
+                word_id=ids.with_word(word_id, k),
                 id=exp_id, token=exp.form, lemma=exp.lemma, pos=exp.upos,
                 xpos=exp.xpos, feats=exp.feats, head_id=exp.head,
                 rel=exp.deprel, deps=exp.deps, misc=exp.misc))

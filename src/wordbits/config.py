@@ -19,6 +19,7 @@ ENV_PREFIX = "WORDBITS_"
 CHOICES = {"lpair": ("de-en", "en-de"), "mode": ("sp", "wr"),
            "scoring": ("bounded", "window")}
 POSITIVE = ("cap", "window")  # integer keys that must be at least 1
+FRACTIONS = ("align_threshold",)  # float keys that must lie in [0, 1)
 
 
 @dataclass
@@ -85,6 +86,8 @@ def _checked(name: str, value):
                          f"{', '.join(CHOICES[name])}")
     if name in POSITIVE and value < 1:
         raise ValueError(f"config key {name!r}: {value!r} is below 1")
+    if name in FRACTIONS and not 0 <= value < 1:  # nan fails both comparisons
+        raise ValueError(f"config key {name!r}: {value!r} is not in [0, 1)")
     return value
 
 

@@ -295,21 +295,23 @@ def _align_segment(src_seg, tgt_seg, encoder, cfg: RunConfig):
     fills = []
     for rows, peers, linked in ((src_seg.surface, tgt_seg.surface, forward),
                                 (tgt_seg.surface, src_seg.surface, reverse)):
-        aligned = [(rows[k], [peers[j] for j in linked[k]]) for k in sorted(linked)]
+        # each linked peer's id is rendered once; its rows share the string
+        rendered = {j: peers[j].word_id.render() for js in linked.values() for j in js}
         # the ", "-joined TSV list cannot carry surfaces that themselves
         # contain a comma; null those alignments rather than corrupt rows
         nulled = []
-        for row, words in aligned:
-            if any("," in w.token for w in words):
-                nulled.append(row)
+        for k in sorted(linked):
+            tokens = [peers[j].token for j in linked[k]]
+            if any("," in t for t in tokens):
+                nulled.append(rows[k])
             else:
-                fills.append((row, words))
+                fills.append((rows[k], tokens, [rendered[j] for j in linked[k]]))
         if nulled:
             log.warning("comma inside aligned surface, %d alignments nulled, "
                         "first for %s", len(nulled), nulled[0].word_id.render())
-    for row, words in fills:
-        row.aligned_word = [w.token for w in words]
-        row.aligned_word_id = [str(w.word_id) for w in words]
+    for row, tokens, word_ids in fills:
+        row.aligned_word = tokens
+        row.aligned_word_id = word_ids
 
 
 def annotate_corpus(segments, cfg: RunConfig, adapters: AdapterSet):

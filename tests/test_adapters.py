@@ -22,6 +22,7 @@ from wordbits.adapters import (
     detokenize_pieces,
     is_punct_text,
     mock_pieces,
+    request_key,
     write_replay,
 )
 from wordbits.annotate import ConlluToken, ReplayParser
@@ -360,16 +361,30 @@ def test_encoder_vectors_read_only_float64(tmp_path):
 
 
 def test_parser_lists_are_fresh_per_call(tmp_path):
-    p = _write(tmp_path / "parse.jsonl", _PARSE, [_GOOD_PARSE])
+    two = ({"text": "a b. c", "lang": "EN"},
+           [[{"id": "1", "form": "a", "head": 0}, {"id": "2", "form": "b.", "head": 1}],
+            [], [{"id": "1", "form": "c", "upos": "X", "head": "0"}]])
+    rng = random.Random(0)
+    p = _write(tmp_path / "parse.jsonl", _PARSE,
+               [_GOOD_PARSE, two, *(({"text": f"t{i}", "lang": "EN"}, _parse_response(rng))
+                                    for i in range(200))])
     parser = ReplayParser(p)
-    # decoded once, into tuples of field values
-    [stored] = parser._table.values()
-    assert stored == ((("1", "a", None, None, None, None, 0, None, None, None),),)
-    assert type(stored[0][0]) is tuple
+    # decoded once, into one flat tuple of atoms: per sentence its token
+    # count, then its tokens' field values
+    stored = parser._table[request_key(_GOOD_PARSE[0])]
+    assert stored == (1, "1", "a", None, None, None, None, 0, None, None, None)
+    assert parser._table[request_key(two[0])] == (
+        2, *ConlluToken("1", "a", head=0), *ConlluToken("2", "b.", head=1),
+        0, 1, *ConlluToken("1", "c", upos="X", head=0))
+    gc.collect()
+    assert not any(map(gc.is_tracked, parser._table.values()))
     first = parser.annotate("a", "EN")
     first[0].append(ConlluToken("2", "junk"))
     first.append([])
     assert parser.annotate("a", "EN") == [[ConlluToken("1", "a", head=0)]]
+    assert parser.annotate("a b. c", "EN") == [
+        [ConlluToken("1", "a", head=0), ConlluToken("2", "b.", head=1)], [],
+        [ConlluToken("1", "c", upos="X", head=0)]]
 
 
 def _lm_response(rng):
@@ -403,7 +418,7 @@ def test_loaded_tables_add_at_most_one_tracked_object_per_record(tmp_path):
         before = len(gc.get_objects())
         adapter = cls(p)
         # a collection untracks a tuple only once its items are untracked,
-        # so a parse's three levels of tuples take three
+        # so nested tuples can take more than one
         for _ in range(3):
             gc.collect()
         # besides the records: the adapter, its attribute dict, meta and table

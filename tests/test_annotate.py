@@ -201,6 +201,40 @@ def test_unset_parser_keeps_token_only_rows_without_warning(caplog, clean, fps):
     assert seg == fallback
 
 
+class _CyclicParser:
+    """Each token heads the next and the last heads the first: no root."""
+
+    name = "cyclic"
+
+    def annotate(self, text, lang):
+        forms = text.split()
+        return [[ConlluToken(str(k), form, head=k % len(forms) + 1, deprel="dep")
+                 for k, form in enumerate(forms, start=1)]]
+
+
+def test_broken_tree_falls_back_with_one_warning_naming_its_problems(caplog):
+    with caplog.at_level(logging.WARNING, logger="wordbits.annotate"):
+        seg = annotate_segment("we go now", [], "EN", SEG_IDS, _CyclicParser())
+    assert seg == annotate_segment("we go now", [], "EN", SEG_IDS, None)
+    assert seg.parsed is False
+    assert all(r.head_id is None for r in seg.word_rows)
+    [record] = caplog.records
+    message = record.getMessage()
+    assert message.startswith("parser cyclic failed on 'we go now': broken dependency tree "
+                              "(sentence 1: 0 roots, cycle through token 1, ")
+    assert message.endswith("; keeping token-only rows")
+
+
+@pytest.mark.parametrize("text", ["- we go. ok", ", , word", "% &", "Yes . .",
+                                  "It's fine, isn't it?", "... - . !"])
+def test_mock_parser_builds_valid_trees(text):
+    # punctuation before a sentence's first word hangs off that word
+    sentences = MockParser().annotate(text, "EN")
+    assert sentences and all(validate_sentence_tree(sent) == [] for sent in sentences)
+    seg = annotate_segment(text, [], "EN", SEG_IDS, MockParser())
+    assert seg.parsed is True
+
+
 def test_mismatched_parse_falls_back():
     class Wrong:
         name = "wrong"

@@ -241,16 +241,19 @@ def test_common_flag_sets_its_config_key(flags, key, value, monkeypatch):
 @pytest.mark.parametrize("source", ["env", "file", "flag"])
 @pytest.mark.parametrize("key, value", [
     ("scoring", "windows"), ("mode", "spoken"), ("lpair", "de_en"),
-    ("cap", "-2"), ("window", "0"), ("cap", "abc")])
+    ("cap", "-2"), ("window", "0"), ("cap", "abc"), ("align_threshold", "nan"),
+    ("align_threshold", "2"), ("align_threshold", "1"), ("align_threshold", "-0.5"),
+    ("align_threshold", "inf")])
 def test_bad_config_value_is_rejected_naming_its_key(key, value, source, tmp_path,
                                                      monkeypatch, capsys):
-    """A value outside its key's choices, below 1 for cap or window, or not
-    a number for a numeric key stops the command before it reads input,
-    whether it comes from the environment, a config file or a flag."""
+    """A value outside its key's choices, below 1 for cap or window, outside
+    [0, 1) for align_threshold, or not a number for a numeric key stops the
+    command before it reads input, whether it comes from the environment, a
+    config file or a flag."""
     for var in [v for v in os.environ if v.startswith("WORDBITS_")]:
         monkeypatch.delenv(var)
     argv = ["normalize", "--output-dir", str(tmp_path)]
-    flag = "--direction" if key == "lpair" else f"--{key}"
+    flag = "--direction" if key == "lpair" else f"--{key.replace('_', '-')}"
     if source == "env":
         monkeypatch.setenv(f"WORDBITS_{key.upper()}", value)
     elif source == "file":

@@ -63,6 +63,11 @@ def test_checked_values(tmp_path):
         load_config(env={}, overrides={"window": 0})
 
 
+@pytest.mark.parametrize("value", ["0", "0.0", "0.5", "0.999"])
+def test_align_threshold_in_unit_interval_accepted(value):
+    assert load_config(env={"WORDBITS_ALIGN_THRESHOLD": value}).align_threshold == float(value)
+
+
 def test_unknown_keys_fail(tmp_path):
     p = tmp_path / "bad.cfg"
     p.write_text("sede=3\n", encoding="utf-8")

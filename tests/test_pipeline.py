@@ -7,6 +7,7 @@ import logging
 import random
 import re
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -417,6 +418,60 @@ def test_bad_fp_position_fails_only_its_side(tmp_path, caplog):
         [r for r in clean_rows if r.doc_id != "002"]
     assert [r for r in rows if r.doc_id == "002"] == \
         [r for r in clean_rows if r.doc_id == "002"]
+
+
+def _wordy_corpus():
+    """30 spoken segments over two small vocabularies, so that words repeat
+    within a side and one word links to several peers; mock adapters."""
+    rng = random.Random(0)
+    en = "we go the house is very well and so it is what they said about all".split()
+    de = "wir gehen das Haus ist sehr gut und so es war was sie sagten über".split()
+    rows = [{"doc_id": str(doc), "seg_id": str(seg), "src_speaker_id": "fDE1",
+             "tgt_speaker_id": "fEN3", "src_raw": " ".join(rng.choices(de, k=14)),
+             "tgt_raw": "euh " + " ".join(rng.choices(en, k=14) + ["it's"])}
+            for doc in (1, 2, 3) for seg in range(1, 11)]
+    cfg = RunConfig(lpair="de-en", mode="sp")
+    return (pipeline.normalize_rows(rows, cfg), cfg,
+            pipeline.adapters_from_config(cfg, mock_fallback=True))
+
+
+def test_rows_share_their_word_id_strings():
+    segments, cfg, adapters = _wordy_corpus()
+    rows, _ = pipeline.annotate_corpus(segments, cfg, adapters)
+    first = {}
+    for row in rows:  # FP, surface and expansion rows alike
+        word = row.word_id.word_id
+        assert first.setdefault(word, word) is word
+    assert any(r.is_fp for r in rows) and any(r.is_expansion for r in rows)
+    assert sorted(first) == [f"{k:03d}" for k in range(1, 17)]  # "euh", 14 words, "it's"
+
+
+def test_aligned_ids_share_one_rendered_string_per_linked_row():
+    segments, cfg, adapters = _wordy_corpus()
+    rows, _ = pipeline.annotate_corpus(segments, cfg, adapters)
+    first = {}
+    entries = 0
+    for row in rows:
+        for rendered in row.aligned_word_id or ():
+            assert first.setdefault(rendered, rendered) is rendered
+            entries += 1
+    # some row is linked from several peers
+    assert entries > len(first) > 0
+
+
+def test_annotated_rows_hold_under_910_bytes_each():
+    # about 860 B a row; a word-id string per row and an aligned id string
+    # per link, as the rows used to hold, make it about 960 B
+    segments, cfg, adapters = _wordy_corpus()
+    pipeline.annotate_corpus(segments[:2], cfg, adapters)  # warm any caches
+    tracemalloc.start()
+    try:
+        rows, _sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 960
+    assert held / len(rows) < 910
 
 
 def test_failed_jsonl_write_leaves_destination_unchanged(tmp_path):
