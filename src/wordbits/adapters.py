@@ -100,10 +100,14 @@ class SubwordScores:
     __slots__ = ("surfaces", "_logprob2", "begins_word", "is_punct_unit")
 
     def __init__(self, surfaces, logprob2, begins_word, is_punct_unit):
-        columns = (tuple(surfaces), array("d", logprob2).tobytes(),
+        logprob2 = array("d", logprob2)
+        columns = (tuple(surfaces), logprob2.tobytes(),
                    bytes(map(bool, begins_word)), bytes(map(bool, is_punct_unit)))
-        if len({len(columns[0]), len(columns[1]) // 8, *map(len, columns[2:])}) != 1:
+        if len({len(columns[0]), len(logprob2), *map(len, columns[2:])}) != 1:
             raise ValueError("columns differ in length")
+        if not all(map(math.isfinite, logprob2)):
+            raise ValueError("log probabilities not finite: "
+                             f"{[v for v in logprob2 if not math.isfinite(v)]}")
         for name, value in zip(self.__slots__, columns):
             object.__setattr__(self, name, value)
 
@@ -271,7 +275,10 @@ class _ReplayBase:
             if unit is None:
                 unit = units[surface] = (intern(surface), is_punct_text(surface))
             surfaces.append(unit[0])
-            logprob2.append(min(0.0, float(item["logprob"]) / divisor))
+            lp = item["logprob"]
+            if type(lp) not in (int, float) or not math.isfinite(lp):
+                raise AdapterError(f"logprob {lp!r} is not a finite JSON number")
+            logprob2.append(lp / divisor if lp < 0.0 else 0.0)
             begins.append(item.get("begins_word", True))
             punct.append(item.get("is_punct", unit[1]))
         return SubwordScores(surfaces, logprob2, begins, punct)

@@ -166,7 +166,8 @@ class TokenizedSegment:
 
 def validate_sentence_tree(tokens) -> list:
     """Check one sentence's dependency structure: integer ids 1..n, head ids
-    in range, exactly one root, no cycles.  Returns a list of problems."""
+    in range, exactly one root, no cycles.  Returns a list of problems,
+    each cycle once; a walk stops at a token an earlier walk reached."""
     problems = []
     words = [t for t in tokens if not t.is_range]
     ids = [int(t.id) for t in words]
@@ -185,15 +186,15 @@ def validate_sentence_tree(tokens) -> list:
         heads[int(t.id)] = t.head
     if roots != 1:
         problems.append(f"{roots} roots")
+    walk_of = {}  # token -> the first token of the walk that reached it
     for start in heads:
-        seen = set()
-        node = start
-        while node != 0:
-            if node in seen:
-                problems.append(f"cycle through token {start}")
-                break
-            seen.add(node)
-            node = heads.get(node, 0)
+        path, node = [], start
+        while node in heads and node not in walk_of:
+            walk_of[node] = start
+            path.append(node)
+            node = heads[node]
+        if walk_of.get(node) == start:  # back on its own path: a new cycle
+            problems.append(f"cycle through tokens {path[path.index(node):]}")
     return problems
 
 

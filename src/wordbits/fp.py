@@ -5,7 +5,11 @@ The estimator is a penalized-likelihood logistic fit with Gaussian random
 intercepts.  At fixed variances, damped Newton steps run jointly over fixed
 effects and group deviations; each variance is chosen by a bounded scalar
 search over log sigma^2 that maximizes the Laplace approximation to the
-marginal likelihood, which also gives the AIC.  Within one fit, each
+marginal likelihood, which also gives the AIC.  The Laplace term
+(0.5 log det D - 0.5 log det H_uu), the standard errors and the fitted
+values come from what each penalized IRLS run holds at its optimum: its
+linear predictor and the Hessian of its last Newton step, built less than
+tol away; no Hessian is built after the Newton steps.  Within one fit, each
 penalized IRLS run of that search starts from the optimum of the run
 before it, whose penalty is close; the first starts cold, and nothing is
 kept between fits.  Group membership is kept as integer level codes, so no
@@ -20,15 +24,12 @@ The variance search is Brent's bounded minimizer, kept in this module
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from itertools import chain, repeat
 from operator import attrgetter
 
 import numpy as np
-
-log = logging.getLogger(__name__)
 
 PREDICTORS = ("nxtwS_tgt", "nxtwS_src", "nxtwS_mt",
               "AvS_tgt", "AvS_src", "AvS_mt")
@@ -71,7 +72,6 @@ class FitResult:
     n_obs: int
     loglik: float = None
     variances: dict = field(default_factory=dict)  # factor -> sigma^2
-    predictors: tuple = ()
     fitted: np.ndarray = None
 
 
@@ -358,11 +358,6 @@ def _penalized_loglik(y, eta, u, d):
     return ll - 0.5 * float(u @ (d * u))
 
 
-def _weights(eta):
-    mu = _sigmoid(eta)
-    return mu, np.clip(mu * (1.0 - mu), 1e-10, None)
-
-
 def _pirls(design, d, max_iter, tol, start=None, scratch=None):
     """Joint damped Newton over (beta, u) at fixed penalty d; scratch is
     _hessian's out.
@@ -370,7 +365,9 @@ def _pirls(design, d, max_iter, tol, start=None, scratch=None):
     start is a (beta, u) to begin from, such as the optimum at a nearby
     penalty; without one the fit starts cold, at the marginal log-odds and
     u = 0.  Each accepted line-search point carries its linear predictor
-    and penalized log-likelihood into the next iteration."""
+    and penalized log-likelihood into the next iteration.  Returns beta, u,
+    trace, the penalized log-likelihood and linear predictor at the end of
+    the first step shorter than tol, and that step's _Reduced Hessian."""
     y = design.y
     p = design.Xt.shape[0]
     if start is None:
@@ -384,10 +381,12 @@ def _pirls(design, d, max_iter, tol, start=None, scratch=None):
     cur = _penalized_loglik(y, eta, u, d)
     trace = []
     for _ in range(max_iter):
-        mu, w = _weights(eta)
+        mu = _sigmoid(eta)
+        w = np.clip(mu * (1.0 - mu), 1e-10, None)
         resid = y - mu
         grad = np.concatenate([design.Xt @ resid, design.zt(resid) - d * u])
-        step = _Reduced(_hessian(design, w, d, scratch), p).solve(grad)
+        hessian = _Reduced(_hessian(design, w, d, scratch), p)
+        step = hessian.solve(grad)
 
         trace.append(cur)
         scale = 1.0
@@ -405,20 +404,8 @@ def _pirls(design, d, max_iter, tol, start=None, scratch=None):
         if np.abs(beta).max() > 50.0:
             raise ConvergenceError("coefficients diverged (|beta| > 50)", trace)
         if float(np.abs(scale * step).max()) < tol:
-            return beta, u, trace
+            return beta, u, trace, cur, eta, hessian
     raise ConvergenceError(f"no convergence in {max_iter} iterations", trace)
-
-
-def _laplace_loglik(design, d, beta, u, scratch=None):
-    """(Laplace log-likelihood, mu, _Reduced penalized Hessian) at (beta, u)."""
-    eta = _linear_predictor(design, beta, u)
-    mu, w = _weights(eta)
-    ll = float(np.sum(design.y * eta - _softplus(eta)))
-    hessian = _Reduced(_hessian(design, w, d, scratch), design.Xt.shape[0])
-    if d.size:
-        ll = (ll - 0.5 * float(u @ (d * u))
-              + 0.5 * float(np.sum(np.log(d))) - 0.5 * float(hessian.logdet_uu()))
-    return ll, mu, hessian
 
 
 _GOLDEN = 0.5 * (3.0 - math.sqrt(5.0))
@@ -527,7 +514,6 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
         raise ValueError("outcomes are single-class")
     _check_separation(design.Xt[1:], y, predictors)
 
-    p = design.Xt.shape[0]
     sigma2 = {f: 1.0 for f in factors}
 
     def d_vector(s2):
@@ -539,9 +525,12 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
     def profile(s2):
         nonlocal start
         d = d_vector(s2)
-        beta, u, _ = _pirls(design, d, max_iter, tol, start, scratch)
+        beta, u, _, loglik, eta, hessian = _pirls(design, d, max_iter, tol,
+                                                  start, scratch)
         start = beta, u
-        return _laplace_loglik(design, d, beta, u, scratch)
+        if d.size:  # the Laplace term
+            loglik += 0.5 * (float(np.sum(np.log(d))) - hessian.logdet_uu())
+        return loglik, eta, hessian
 
     if factors:
         log_lo, log_hi = math.log(1e-8), math.log(1e3)
@@ -557,15 +546,17 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
                     abs(sigma2[f] - previous[f]) for f in factors) < 1e-8:
                 break
 
-    loglik, mu, hessian = profile(sigma2)
+    loglik, eta, hessian = profile(sigma2)
     beta, _u = start  # the optimum that profile just evaluated
     # standard errors from the beta block of the inverse penalized Hessian
     se = np.sqrt(np.clip(np.diag(hessian.fixed_cov()), 0.0, None))
+    mu = _sigmoid(eta)
+    del eta  # freed before concordance allocates its n-sized arrays
 
     fitted = np.empty_like(mu)
     fitted[design.order] = mu  # back in input order
     names = ("intercept",) + tuple(predictors)
-    k_params = p + len(factors)
+    k_params = len(names) + len(factors)
     aic = 2.0 * k_params - 2.0 * loglik
     return FitResult(
         coefficients=dict(zip(names, beta.tolist())),
@@ -575,7 +566,6 @@ def fit_logistic(data, random_intercepts=("speaker_id",), predictors=PREDICTORS,
         n_obs=len(y),
         loglik=loglik,
         variances=dict(sigma2),
-        predictors=tuple(predictors),
         fitted=fitted,
     )
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from wordbits.ids import ItemId
@@ -65,7 +66,7 @@ class WordRow:
                 raise ValueError(f"expansion row {self.word_id} carries surprisal")
         for name in ("srp_base_gpt2", "srp_ft_gpt2", "srp_base_mt", "srp_ft_mt"):
             v = getattr(self, name)
-            if v is not None and not (v >= 0.0):
+            if v is not None and not 0.0 <= v < math.inf:
                 raise ValueError(f"{name}={v!r} on {self.word_id} is not a finite non-negative value")
 
 

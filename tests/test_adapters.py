@@ -250,6 +250,34 @@ def test_unknown_log_base_fails_load(tmp_path):
         ReplayCausalLM(p)
 
 
+@pytest.mark.parametrize("logprob", ["-3", math.nan, math.inf, -math.inf, True],
+                         ids=["string", "nan", "inf", "-inf", "bool"])
+def test_logprob_that_is_not_a_finite_json_number_fails_load(tmp_path, logprob):
+    # checked before the clamp at 0, which would turn NaN and +inf into 0 bits
+    p = _write(tmp_path / "lm.jsonl", {"kind": "causal_lm"},
+               [_GOOD_LM, ({"text": "b"}, [{"surface": "b", "logprob": logprob}])])
+    with pytest.raises(AdapterError, match=re.escape(
+            f"{p}:3: bad replay record: logprob {logprob!r} is not a finite JSON number")):
+        ReplayCausalLM(p)
+
+
+def test_positive_logprob_scores_zero_bits(tmp_path):
+    p = _write(tmp_path / "lm.jsonl", {"kind": "causal_lm", "log_base": "e"},
+               [({"text": "a b"}, [{"surface": "a", "logprob": 0.5},
+                                   {"surface": "b", "logprob": -math.log(8)}])])
+    assert ReplayCausalLM(p).score("a b").bits() == [0.0, pytest.approx(3.0)]
+    live = SubwordScores(["a", "b"], [2.0, -3.0], [True, True], [False, False])
+    assert live.bits() == [0.0, 3.0]
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_subword_scores_reject_a_non_finite_log_probability(value):
+    with pytest.raises(ValueError, match=r"log probabilities not finite: \[(nan|-?inf)\]"):
+        SubwordScores(["a", "b"], [-1.0, value], [True, True], [False, False])
+    with pytest.raises(ValueError, match="not finite"):
+        SubwordScores.of([SubwordScore("a", value)])
+
+
 def test_failed_replay_write_leaves_old_file_loadable(tmp_path):
     p = _write(tmp_path / "lm.jsonl", {"kind": "causal_lm", "name": "old"}, [_GOOD_LM])
     before = (tmp_path / "lm.jsonl").read_bytes()

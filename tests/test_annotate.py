@@ -1,4 +1,5 @@
 import logging
+import math
 import random
 
 import pytest
@@ -13,6 +14,7 @@ from wordbits.annotate import (
     validate_sentence_tree,
 )
 from wordbits.ids import ItemId
+from wordbits.records import WordRow
 
 from conftest import TGT_CLEAN, TGT_FP_POSITIONS, TGT_TEXT
 
@@ -81,6 +83,16 @@ def test_example_fp_rows(parsed_example):
     for r in fps:
         r.validate()
         assert r.id is None and r.head_id is None
+
+
+@pytest.mark.parametrize("bits", [math.inf, math.nan, -1.0])
+def test_word_row_requires_finite_non_negative_bits(bits):
+    row =WordRow(word_id=ItemId("SI", "SP", "DE", "EN", "030", "21", word_id="001"),
+                  token="we", srp_base_mt=bits)
+    with pytest.raises(ValueError, match="srp_base_mt=.* is not a finite non-negative"):
+        row.validate()
+    row.srp_base_mt = 0.0
+    row.validate()
 
 
 def test_example_tree_fields(parsed_example):
@@ -219,10 +231,9 @@ def test_broken_tree_falls_back_with_one_warning_naming_its_problems(caplog):
     assert seg.parsed is False
     assert all(r.head_id is None for r in seg.word_rows)
     [record] = caplog.records
-    message = record.getMessage()
-    assert message.startswith("parser cyclic failed on 'we go now': broken dependency tree "
-                              "(sentence 1: 0 roots, cycle through token 1, ")
-    assert message.endswith("; keeping token-only rows")
+    assert record.getMessage() == (
+        "parser cyclic failed on 'we go now': broken dependency tree "
+        "(sentence 1: 0 roots, cycle through tokens [1, 2, 3]); keeping token-only rows")
 
 
 @pytest.mark.parametrize("text", ["- we go. ok", ", , word", "% &", "Yes . .",
@@ -282,6 +293,19 @@ def test_validate_sentence_tree_problems():
 
     gap = [ConlluToken("1", "a", head=0), ConlluToken("3", "b", head=1)]
     assert any("non-contiguous" in p for p in validate_sentence_tree(gap))
+
+
+def _sentence(heads):
+    return [ConlluToken(str(k), f"w{k}", head=h) for k, h in enumerate(heads, start=1)]
+
+
+def test_each_cycle_is_reported_once_with_its_tokens():
+    # tokens 1 and 2 lead into the cycle 3 -> 4 -> 5 -> 3 and add nothing
+    assert validate_sentence_tree(_sentence([2, 3, 4, 5, 3])) == [
+        "0 roots", "cycle through tokens [3, 4, 5]"]
+    # two cycles, one a token that heads itself; token 5 leads into the first
+    assert validate_sentence_tree(_sentence([2, 1, 3, 0, 1])) == [
+        "cycle through tokens [1, 2]", "cycle through tokens [3]"]
 
 
 def test_place_forms_owner_holds_first_character():

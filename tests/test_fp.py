@@ -548,8 +548,8 @@ def test_pirls_started_at_its_optimum_stops_at_once():
     design = fp._design(data, PREDICTORS, ("speaker_id", "doc_id"))
     d = np.repeat([1.0 / 0.05, 1.0 / 0.03], design.sizes)
     tol = 1e-9
-    beta, u, trace = fp._pirls(design, d, 200, tol)
-    beta2, u2, trace2 = fp._pirls(design, d, 200, tol, start=(beta, u))
+    beta, u, trace, *_ = fp._pirls(design, d, 200, tol)
+    beta2, u2, trace2, *_ = fp._pirls(design, d, 200, tol, start=(beta, u))
     assert len(trace2) <= 2 < len(trace)
     np.testing.assert_allclose(beta2, beta, rtol=0, atol=tol)
     np.testing.assert_allclose(u2, u, rtol=0, atol=tol)
@@ -566,14 +566,38 @@ def test_warm_start_cuts_newton_steps(factors, monkeypatch):
     pirls = fp._pirls
 
     def counting(*args, **kwargs):
-        beta, u, trace = pirls(*args, **kwargs)
-        steps.append(len(trace))
-        return beta, u, trace
+        optimum = pirls(*args, **kwargs)
+        steps.append(len(optimum[2]))  # the trace
+        return optimum
 
     monkeypatch.setattr(fp, "_pirls", counting)
     data = simulate_observations(3000, FIT_BETA, n_groups=40, seed=0)
     fit_logistic(data, random_intercepts=factors)
     assert sum(steps) <= COLD_START_STEPS[factors] * 2 / 3
+
+
+@pytest.mark.parametrize("factors", [(), ("speaker_id",), ("speaker_id", "doc_id")],
+                         ids=lambda f: "+".join(f) or "glm")
+def test_fit_builds_one_hessian_per_newton_step(factors, monkeypatch):
+    # the Laplace term, the SEs and the fitted values reuse the last Newton
+    # step's Hessian, so no PIRLS run is followed by a build of its own
+    builds, steps = [], []
+    hessian, pirls = fp._hessian, fp._pirls
+
+    def counting_hessian(*args, **kwargs):
+        builds.append(1)
+        return hessian(*args, **kwargs)
+
+    def counting_pirls(*args, **kwargs):
+        optimum = pirls(*args, **kwargs)
+        steps.append(len(optimum[2]))  # the trace
+        return optimum
+
+    monkeypatch.setattr(fp, "_hessian", counting_hessian)
+    monkeypatch.setattr(fp, "_pirls", counting_pirls)
+    data = simulate_observations(3000, FIT_BETA, n_groups=40, seed=0)
+    fit_logistic(data, random_intercepts=factors)
+    assert steps and len(builds) == sum(steps)
 
 
 def test_fit_repeats_exactly():

@@ -4,6 +4,7 @@ adapter role, and the segment aggregates."""
 import copy
 import gzip
 import logging
+import math
 import random
 import re
 import threading
@@ -631,6 +632,22 @@ def test_raising_lm_nulls_word_bits_and_mean_with_one_warning(caplog):
     assert bits == [None] * 6 and mean is None
     [warning] = caplog.records
     assert "failed, segment retained with null bits" in warning.getMessage()
+    bits, mean = _tgt_lm(rows, sidecar, "srp_ft_gpt2", "ft_gpt_avs_subw")
+    assert None not in bits and mean is not None
+
+
+def test_lm_answering_nan_nulls_word_bits_and_mean_with_one_warning(caplog):
+    segments, cfg, adapters = _one_segment("we have seen the procedure today")
+    adapters.lm_base = Rewriting(adapters.lm_base, "score", lambda pieces, text: [
+        p._replace(logprob2=math.nan) if k == 2 else p for k, p in enumerate(pieces)])
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
+        rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    bits, mean = _tgt_lm(rows, sidecar, "srp_base_gpt2", "base_gpt_avs_subw")
+    assert bits == [None] * 6 and mean is None
+    [warning] = caplog.records
+    assert warning.getMessage() == (f"adapter {adapters.lm_base.name} failed, segment "
+                                    "retained with null bits: log probabilities not finite: "
+                                    "[nan]")
     bits, mean = _tgt_lm(rows, sidecar, "srp_ft_gpt2", "ft_gpt_avs_subw")
     assert None not in bits and mean is not None
 
