@@ -53,6 +53,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import logging
 import math
 import re
 import unicodedata
@@ -65,6 +66,8 @@ import numpy as np
 
 from .tables import text_writer
 
+log = logging.getLogger(__name__)
+
 
 class AdapterError(RuntimeError):
     pass
@@ -73,6 +76,18 @@ class AdapterError(RuntimeError):
 def adapter_name(adapter) -> str:
     """Its name, else its class name: a repr holds a per-run address."""
     return getattr(adapter, "name", type(adapter).__name__)
+
+
+def attempt(adapter, item, kept, fn, *args):
+    """fn(*args), or None after one warning naming the adapter, the item and
+    what is kept if it raises.  Every adapter job runs through here: the one
+    place where an error lets a run go on."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        log.warning("adapter %s failed on %s, %s: %s",
+                    adapter_name(adapter), item, kept, exc)
+        return None
 
 
 class SubwordScore(NamedTuple):

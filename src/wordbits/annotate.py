@@ -16,7 +16,7 @@ from itertools import accumulate
 from sys import intern
 from typing import NamedTuple
 
-from .adapters import AdapterError, _ReplayBase, adapter_name
+from .adapters import AdapterError, _ReplayBase, attempt
 from .records import WordRow
 from .transcripts import FP_FORMS
 
@@ -261,6 +261,20 @@ def _word_id(ordinal: int) -> str:
     return _WORD_IDS[ordinal] if ordinal < len(_WORD_IDS) else f"{ordinal + 1:03d}"
 
 
+def _parse(adapter, text, lang, scored_tokens, clean_text):
+    """(surfaces, owners, spans) of the adapter's parse of text; a sentence
+    that validate_sentence_tree finds broken raises AdapterError."""
+    sentences = adapter.annotate(text, lang) if text else []
+    surfaces = _surface_rows(sentences)
+    broken = [f"sentence {k}: {', '.join(problems)}"
+              for k, sent in enumerate(sentences, start=1)
+              if (problems := validate_sentence_tree(sent))]
+    if broken:
+        raise AdapterError(f"broken dependency tree ({'; '.join(broken)})")
+    return (surfaces, *_place_forms([s.form for s, _, _ in surfaces],
+                                    scored_tokens, clean_text))
+
+
 def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
                      adapter) -> TokenizedSegment:
     """Parse one clean segment into WordRow skeletons.
@@ -269,9 +283,8 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
     whitespace-token indices in fp_positions; ids is an ItemId prefix with
     doc and seg set.  Surprisal and alignment columns are filled later.  A
     position not at an FP form is dropped with a warning: its token is a word.
-    Without a parser (adapter None), or when it fails with a warning, each
-    whitespace token becomes one token-only row; a parse with a sentence
-    that validate_sentence_tree finds broken counts as a failure.
+    Without a parser (adapter None), or when the parse fails (a broken
+    dependency tree too), each whitespace token becomes a token-only row.
     """
     ws_tokens = clean_text.split()
     positions = sorted(set(fp_positions or []))
@@ -284,26 +297,15 @@ def annotate_segment(clean_text: str, fp_positions, lang: str, ids,
     scored_tokens = [t for i, t in enumerate(ws_tokens) if i not in fp_set]
     text = " ".join(scored_tokens)
 
-    parsed = adapter is not None or not text
-    if parsed:
-        try:
-            sentences = adapter.annotate(text, lang) if text else []
-            surfaces = _surface_rows(sentences)
-            broken = [f"sentence {k}: {', '.join(problems)}"
-                      for k, sent in enumerate(sentences, start=1)
-                      if (problems := validate_sentence_tree(sent))]
-            if broken:
-                raise AdapterError(f"broken dependency tree ({'; '.join(broken)})")
-            owners, spans = _place_forms([s.form for s, _, _ in surfaces],
-                                         scored_tokens, clean_text)
-        except Exception as exc:
-            log.warning("parser %s failed on %r: %s; keeping token-only rows",
-                        adapter_name(adapter), clean_text[:60], exc)
-            parsed = False
+    placed = None if adapter is None and text else attempt(
+        adapter, ids, "keeping token-only rows", _parse, adapter, text, lang,
+        scored_tokens, clean_text)
+    parsed = placed is not None
     if not parsed:
         # no parser, or a failed one: one row per whitespace token
-        surfaces = [(ConlluToken("0", tok), None, []) for tok in scored_tokens]
-        owners, spans = _place_forms(scored_tokens, scored_tokens, clean_text)
+        placed = ([(ConlluToken("0", tok), None, []) for tok in scored_tokens],
+                  *_place_forms(scored_tokens, scored_tokens, clean_text))
+    surfaces, owners, spans = placed
 
     # owners index scored_tokens; translate to positions among all ws tokens
     scored_ws = [i for i in range(len(ws_tokens)) if i not in fp_set]

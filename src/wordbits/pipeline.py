@@ -8,6 +8,8 @@ carry (subword means, pseudo-BLEU, disfluency counts), which the annotate
 stage aggregates with; ``aggregate_stage`` leaves those columns NA.
 Annotation runs on the calling thread in doc_id order, so identical inputs
 and adapters give byte-identical outputs and the same warnings in order.
+A failing adapter job nulls only its values (a parse keeps token-only rows)
+with one warning from ``adapters.attempt``, and keeps the segment.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from typing import NamedTuple
 
 from . import __version__, align, surprisal
 from .adapters import (MockCausalLM, MockEncoder, MockMT, ReplayCausalLM,
-                       ReplayEncoder, ReplayMT, adapter_name, meta_of)
+                       ReplayEncoder, ReplayMT, adapter_name, attempt, meta_of)
 from .annotate import MockParser, ReplayParser, annotate_segment
 from .config import RunConfig, config_hash
 from .ids import IMPLIED_MODE, ItemId
@@ -82,18 +84,18 @@ def adapters_from_config(cfg: RunConfig, mock_fallback: bool = False) -> Adapter
 
 
 def open_text(path, mode):
-    """A text file to read, or to write atomically; gzip for a .gz path."""
+    """A text file to read, BOM dropped, or to write atomically; gzip for .gz."""
     if "w" in mode:
         return text_writer(path, gz=str(path).endswith(".gz"))
     if str(path).endswith(".gz"):
-        return gzip.open(path, "rt", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
+        return gzip.open(path, "rt", encoding="utf-8-sig")
+    return open(path, mode, encoding="utf-8-sig")
 
 
 def read_input_tsv(path) -> list:
-    """Raw parallel input: UTF-8 TSV with INPUT_COLUMNS (extra columns such
-    as alignment_score and date are carried through); empty or NA cells mean
-    an empty side."""
+    """Raw parallel input: UTF-8 TSV, with or without a byte-order mark, with
+    INPUT_COLUMNS (extra columns such as alignment_score and date are
+    carried through); empty or NA cells mean an empty side."""
     with open_text(path, "r") as f:
         lines = [ln.rstrip("\n") for ln in f if not ln.startswith("#")]
     if not lines:
@@ -151,12 +153,15 @@ def write_jsonl(path, records, meta=None) -> None:
 
 
 def read_jsonl(path):
-    """(meta, records): a first line {"meta": {...}} is the meta.  A line
-    that is not JSON raises ValueError naming path:line."""
+    """(meta, records): a first line {"meta": {...}} is the meta.  Blank
+    lines are skipped, as a replay load skips them; any other line that is
+    not JSON raises ValueError naming path:line."""
     meta = None
     records = []
     with open_text(path, "r") as f:
         for lineno, line in enumerate(f, start=1):
+            if line.isspace():
+                continue
             try:
                 obj = json.loads(line)
             except ValueError as exc:
@@ -189,15 +194,18 @@ def _word_map_from_spans(spans, emb):
 
 
 def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
-    """Annotate one document's segments; returns (word_rows, sidecar)."""
+    """Annotate one document's segments; returns (word_rows, sidecar).  Each
+    adapter job runs through attempt, named by the side it fills (the source
+    side for an alignment)."""
     rows_out = []
     sidecar = []
     for seg in doc_segments:
         sides = {}
+        ids = {}
         for side, lang, ttype in (("src", cfg.src_lang, cfg.src_ttype),
                                   ("tgt", cfg.tgt_lang, cfg.target_ttype())):
             info = seg["sides"][side]
-            prefix = _seg_prefix(cfg, ttype, seg["doc_id"], seg["seg_id"])
+            prefix = ids[side] = _seg_prefix(cfg, ttype, seg["doc_id"], seg["seg_id"])
             parsed = annotate_segment(info["clean"], info["fp_positions"],
                                       lang, prefix, adapters.parser)
             for row in parsed.word_rows:
@@ -212,7 +220,6 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
             sides[side] = parsed
 
         src_seg, tgt_seg = sides["src"], sides["tgt"]
-        src_text = src_seg.text
 
         # extra keys of the src, tgt and pair sidecar records
         extra = {"src": {}, "tgt": {}, "pair": {}}
@@ -220,57 +227,48 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
             if spec.column is None:
                 continue
             adapter = getattr(adapters, role)
-            parsed = sides[spec.side]
+            parsed, item = sides[spec.side], ids[spec.side]
+            mt = spec.kind == "mt"
             scored = mean = bleu = None
-            # an empty side has no words and no subwords: nothing to score
-            if adapter and parsed.text:
-                if spec.kind == "mt":
-                    job = (surprisal.score_mt, src_text, parsed, adapter)
+            if _runs(adapter, *((src_seg, parsed) if mt else (parsed,))):
+                if mt:
+                    job = (surprisal.score_mt, src_seg.text, parsed, adapter)
                 elif cfg.scoring == "window":
                     job = (surprisal.score_sliding_window, parsed, adapter, cfg.window)
                 else:
                     job = (surprisal.score_segment_bounded, parsed, adapter, cfg.cap)
-                scored = _attempt(adapter, "segment retained with null bits", *job)
+                scored = attempt(adapter, item, "segment retained with null bits", *job)
+                if mt:
+                    bleu = attempt(adapter, item, "pseudo-BLEU nulled", surprisal.pseudo_bleu,
+                                   src_seg.text, parsed.text, adapter)
             if scored is not None:
                 for ws, row in zip(scored, parsed.scored):
                     if ws.bits is not None:
                         setattr(row, spec.column, ws.bits)
                 # the mean of the subwords the word bits came from, if any
                 mean = _mean_or_none(surprisal.subword_bits(scored))
-            if spec.kind == "mt":
-                if adapter and src_text and parsed.text:
-                    bleu = _attempt(adapter, "pseudo-BLEU nulled", surprisal.pseudo_bleu,
-                                    src_text, parsed.text, adapter)
-                extra["pair"][spec.key] = mean
+            extra["pair" if mt else spec.side][spec.key] = mean
+            if mt:
                 extra["pair"][spec.key.replace("mt_avs_subw", "bleu")] = bleu
-            else:
-                extra[spec.side][spec.key] = mean
 
-        if adapters.encoder and src_seg.words and tgt_seg.words:
-            _attempt(adapters.encoder, "alignments nulled", _align_segment,
-                     src_seg, tgt_seg, adapters.encoder, cfg)
+        if _runs(adapters.encoder, src_seg, tgt_seg):
+            attempt(adapters.encoder, ids["src"], "alignments nulled", _align_segment,
+                    src_seg, tgt_seg, adapters.encoder, cfg)
 
         # sidecar records join against the padded ids both sides' rows carry
-        ids = {"doc_id": prefix.doc_id, "seg_id": prefix.seg_id}
+        keys = {"doc_id": prefix.doc_id, "seg_id": prefix.seg_id}
         for side in ("src", "tgt"):
             rows_out.extend(sides[side].word_rows)
-            sidecar.append({**ids, "side": side,
+            sidecar.append({**keys, "side": side,
                             "counts": seg["sides"][side]["counts"],
                             **extra[side]})
-        sidecar.append({**ids, "side": "pair", **extra["pair"]})
+        sidecar.append({**keys, "side": "pair", **extra["pair"]})
     return rows_out, sidecar
 
 
-def _attempt(adapter, nulled, fn, *args):
-    """fn(*args), or None after one warning naming what is nulled if it
-    raises.  Every LM/MT scoring job, pseudo-BLEU and alignment runs through
-    here, so a failing adapter, or output that cannot be read, nulls only
-    what that job fills and keeps the segment."""
-    try:
-        return fn(*args)
-    except Exception as exc:
-        log.warning("adapter %s failed, %s: %s", adapter_name(adapter), nulled, exc)
-        return None
+def _runs(adapter, *sides) -> bool:
+    """A job runs only when its adapter is set and every side it reads has words."""
+    return adapter is not None and all(side.text for side in sides)
 
 
 def _align_segment(src_seg, tgt_seg, encoder, cfg: RunConfig):

@@ -14,10 +14,10 @@ words get null bits and the rule label "failed".  Units left over once every
 word has matched are not dropped silently: the last word carries the note
 "unconsumed_subwords".
 
-Nothing here catches an error.  An adapter that raises, output that cannot
-be read as subword scores, and retokenization drift in window rescoring all
-raise out of the scorer; the pipeline's one failure guard nulls that job's
-values and keeps the segment.
+A scorer scores whatever it is given and catches no error.  An adapter that
+raises, output that cannot be read as subword scores, and retokenization
+drift in window rescoring raise out of it; adapters.attempt then nulls that
+job's values and keeps the segment.  The pipeline scores no empty side.
 """
 
 from __future__ import annotations
@@ -201,12 +201,6 @@ def realign_cascade(units, words) -> list[WordSurprisal]:
 class ScoredJob(list):
     """One job's WordSurprisals; subwords: the SubwordScores behind them."""
 
-    subwords = None
-
-
-def _all_failed(words, note):
-    return ScoredJob(WordSurprisal(i, None, "failed", note) for i in range(len(words)))
-
 
 def _realigned(seg, adapter, subs):
     """Realign the subword scores subs to seg.words, as a ScoredJob holding
@@ -282,17 +276,12 @@ def score_sliding_window(seg, adapter, window: int = WINDOW):
 
 def score_mt(src_text: str, seg, adapter):
     """Teacher-forced target-side scoring through the same cascade."""
-    if not src_text or not src_text.strip():
-        return _all_failed(seg.words, note="empty_source")
-    if not seg.text or not seg.text.strip():
-        return _all_failed(seg.words, note="empty_target")
     return _realigned(seg, adapter, adapter.score(src_text, seg.text))
 
 
 def subword_bits(scored) -> list[float]:
-    """Per-subword bits of the stream a scoring job's word bits came from,
-    for the subword-level mean; empty for an MT job with an empty side."""
-    return scored.subwords.bits() if scored.subwords is not None else []
+    """Per-subword bits of the stream behind a scoring job's word bits."""
+    return scored.subwords.bits()
 
 
 def _ngrams(tokens, n):
@@ -305,8 +294,6 @@ def sentence_bleu_exp(ref_tokens, hyp_tokens, max_order: int = 4) -> float:
     Orders longer than the hypothesis are skipped; each zero-match order
     doubles the smoothing divisor.  Returns a percentage in [0, 100].
     """
-    if not hyp_tokens:
-        return 0.0
     log_precisions = []
     smooth = 1.0
     for n in range(1, max_order + 1):
@@ -334,7 +321,4 @@ def pseudo_bleu(src_text: str, tgt_text: str, adapter) -> float:
     """BLEU of the adapter's argmax-under-gold-prefix prediction against the
     reference target, both detokenized and whitespace-tokenized."""
     prediction = detokenize_pieces(adapter.predict_argmax(src_text, tgt_text))
-    if not prediction.strip():
-        log.warning("empty argmax prediction, pseudo-BLEU 0.0")
-        return 0.0
     return sentence_bleu_exp(tgt_text.split(), prediction.split())

@@ -36,8 +36,6 @@ from typing import Iterable, Union, get_args, get_origin, get_type_hints
 from wordbits.ids import ItemId, item_id_reader
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
 
-FORMATS = ("vertical", "long", "wide")
-
 # record field -> column, for the columns not named after their field
 _COLUMN_NAMES = {
     "base_gpt_avs": "base_gpt_AvS",

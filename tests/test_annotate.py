@@ -186,14 +186,17 @@ def test_parser_failure_falls_back_to_tokens(caplog):
         def annotate(self, text, lang):
             raise AdapterError("no luck")
 
-    with caplog.at_level(logging.WARNING, logger="wordbits.annotate"):
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
         seg = annotate_segment("Gut euh gemacht.", [1], "EN", SEG_IDS, Broken())
     assert seg.parsed is False
     assert [r.token for r in seg.word_rows] == ["Gut", "euh", "gemacht."]
     surface = seg.word_rows[2]
     assert surface.id is None and surface.lemma is None and surface.rel is None
     assert seg.word_rows[1].is_fp
-    assert any("keeping token-only rows" in r.message for r in caplog.records)
+    [record] = caplog.records
+    assert record.name == "wordbits.adapters"
+    assert record.getMessage() == (
+        "adapter boom failed on SI_DE_EN_030-21, keeping token-only rows: no luck")
 
 
 @pytest.mark.parametrize("clean, fps", [("Gut euh gemacht. Ja", [1]), ("euh hm", [0, 1]),
@@ -207,7 +210,7 @@ def test_unset_parser_keeps_token_only_rows_without_warning(caplog, clean, fps):
 
     fallback = annotate_segment(clean, fps, "EN", SEG_IDS, Broken())
     caplog.clear()
-    with caplog.at_level(logging.WARNING, logger="wordbits.annotate"):
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
         seg = annotate_segment(clean, fps, "EN", SEG_IDS, None)
     assert not caplog.records
     assert seg == fallback
@@ -225,15 +228,16 @@ class _CyclicParser:
 
 
 def test_broken_tree_falls_back_with_one_warning_naming_its_problems(caplog):
-    with caplog.at_level(logging.WARNING, logger="wordbits.annotate"):
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
         seg = annotate_segment("we go now", [], "EN", SEG_IDS, _CyclicParser())
     assert seg == annotate_segment("we go now", [], "EN", SEG_IDS, None)
     assert seg.parsed is False
     assert all(r.head_id is None for r in seg.word_rows)
     [record] = caplog.records
+    assert record.name == "wordbits.adapters"
     assert record.getMessage() == (
-        "parser cyclic failed on 'we go now': broken dependency tree "
-        "(sentence 1: 0 roots, cycle through tokens [1, 2, 3]); keeping token-only rows")
+        "adapter cyclic failed on SI_DE_EN_030-21, keeping token-only rows: broken "
+        "dependency tree (sentence 1: 0 roots, cycle through tokens [1, 2, 3])")
 
 
 @pytest.mark.parametrize("text", ["- we go. ok", ", , word", "% &", "Yes . .",
@@ -335,7 +339,7 @@ class _FormsParser:
 
 def test_respaced_forms_keep_their_own_spans(caplog):
     # "20000" occurs again later in the text; each form keeps its own place
-    with caplog.at_level(logging.WARNING, logger="wordbits.annotate"):
+    with caplog.at_level(logging.WARNING, logger="wordbits"):
         seg = annotate_segment("20 000 and 20000", [], "EN", SEG_IDS,
                                _FormsParser(["20000", "and", "20000"]))
     assert seg.parsed is True

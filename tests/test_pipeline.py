@@ -149,13 +149,20 @@ def test_empty_source_leaves_mt_subword_mean_null(tmp_path):
     cfg = RunConfig(lpair="de-en", mode="sp", workers=1)
     segments = pipeline.normalize_rows(pipeline.read_input_tsv(str(p)), cfg)
     adapters = pipeline.adapters_from_config(cfg, mock_fallback=True)
+    calls = []
+    adapters.mt_base = Recording(adapters.mt_base, calls)
+    adapters.mt_ft = Recording(adapters.mt_ft, calls)
     rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
+    # the segment with an empty source makes no MT call
+    pair = ("Drei kurze Wörter", "Three short words here")
+    assert calls == 2 * [("score", pair), ("predict_argmax", pair)]
     empty, full = [r for r in sidecar if r["side"] == "pair"]
     tgt = [r for r in rows if r.lang == "EN"]
     for role in ("mt_base", "mt_ft"):
         spec = pipeline.ROLES[role]
-        assert empty[spec.key] is None
-        assert full[spec.key] is not None
+        bleu = spec.key.replace("mt_avs_subw", "bleu")
+        assert empty[spec.key] is None and empty[bleu] is None
+        assert full[spec.key] is not None and full[bleu] is not None
         assert [getattr(r, spec.column) is None for r in tgt] == \
             [r.seg_id == tgt[0].seg_id for r in tgt]
     # the target LM means do not depend on the source side
@@ -269,40 +276,57 @@ def _triples(answer, *texts):
     return [tuple(sw)[:3] for sw in answer] if _hit(texts[-1]) else answer
 
 
-# role, method, rewrite of its answers in one segment, the vertical columns
-# and sidecar (side, key) that role fills there
+def _broken_tree(answer, text, lang):
+    return [[tok._replace(head=9) for tok in sent] for sent in answer] \
+        if lang == "EN" and _hit(text) else answer
+
+
+# _mock_corpus's document 2, segment 1, by language of its side
+_HIT_IDS = {"DE": "ORG_SP_DE_EN_002-01", "EN": "SI_DE_EN_002-01"}
+
+# role, method, rewrite of its answers in one segment, the languages of the
+# sides whose rows it changes there (the warning names the first), and the
+# vertical columns and sidecar (side, key) that role fills there
 _UNREADABLE = {
     "encoder-no-source-subwords": (
         "encoder", "embed",
         lambda answer, text, lang: [] if lang == "DE" and _hit(text) else answer,
-        ("aligned_word", "aligned_word_id"), ()),
+        ("DE", "EN"), ("aligned_word", "aligned_word_id"), ()),
     "encoder-widths-16-and-8": (
         "encoder", "embed",
         lambda answer, text, lang: [(s, span, np.ones(16 if lang == "DE" else 8))
                                     for s, span, _ in answer] if _hit(text) else answer,
-        ("aligned_word", "aligned_word_id"), ()),
-    "lm-3-tuples": ("lm_base", "score", _triples, ("srp_base_gpt2",),
+        ("DE", "EN"), ("aligned_word", "aligned_word_id"), ()),
+    "lm-3-tuples": ("lm_base", "score", _triples, ("EN",), ("srp_base_gpt2",),
                     (("tgt", "base_gpt_avs_subw"),)),
-    "mt-3-tuples": ("mt_base", "score", _triples, ("srp_base_mt",),
+    "src-lm-3-tuples": ("src_lm_base", "score", _triples, ("DE",), ("srp_base_gpt2",),
+                        (("src", "base_gpt_avs_subw"),)),
+    "mt-3-tuples": ("mt_base", "score", _triples, ("EN",), ("srp_base_mt",),
                     (("pair", "base_mt_avs_subw"),)),
+    "mt-argmax-2-tuples": ("mt_base", "predict_argmax", _triples, ("EN",), (),
+                           (("pair", "base_bleu"),)),
+    # token-only rows: the parse columns of every word row go
+    "parser-broken-tree": ("parser", "annotate", _broken_tree, ("EN",),
+                           ("id", "lemma", "pos", "head_id", "rel"), ()),
 }
 
 
 @pytest.mark.parametrize("case", list(_UNREADABLE))
 def test_unreadable_output_nulls_only_its_role_in_its_segment(tmp_path, caplog, case):
-    role, method, rewrite, columns, keys = _UNREADABLE[case]
+    role, method, rewrite, langs, columns, keys = _UNREADABLE[case]
     segments, cfg, adapters = _mock_corpus(tmp_path)
     clean_rows, clean_sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
     setattr(adapters, role, Rewriting(getattr(adapters, role), method, rewrite))
     with caplog.at_level(logging.WARNING, logger="wordbits"):
         rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
     [warning] = caplog.records
-    assert f"adapter {getattr(adapters, role).name} failed, " in warning.getMessage()
+    assert warning.name == "wordbits.adapters"
+    assert warning.getMessage().startswith(
+        f"adapter {getattr(adapters, role).name} failed on {_HIT_IDS[langs[0]]}, ")
     hit = ("002", "01")
-    # the encoder fills both sides; an LM or MT role here only the target
-    langs = ("DE", "EN") if role == "encoder" else ("EN",)
     want_rows = copy.deepcopy(clean_rows)
-    nulled = [r for r in want_rows if (r.doc_id, r.seg_id) == hit and r.lang in langs]
+    nulled = [r for r in want_rows
+              if (r.doc_id, r.seg_id) == hit and r.lang in langs and not r.is_fp]
     for column in columns:
         assert any(getattr(r, column) is not None for r in nulled)
         for r in nulled:
@@ -341,7 +365,8 @@ def test_unreadable_parser_id_keeps_token_only_rows(tmp_path, caplog, bad, error
         got = pipeline.annotate_corpus(segments, cfg, adapters)
     assert got == want
     [warning] = caplog.records
-    assert warning.getMessage().startswith("parser mock-parser failed on 'Uh we go 2 times 1'")
+    assert warning.getMessage().startswith(
+        f"adapter mock-parser failed on {_HIT_IDS['EN']}, keeping token-only rows: ")
     assert error in warning.getMessage()
 
 
@@ -351,7 +376,7 @@ def test_clean_run_fills_every_bleu_and_subword_mean(tmp_path, caplog):
     segments, cfg, adapters = _mock_corpus(tmp_path)
     with caplog.at_level(logging.WARNING, logger="wordbits"):
         _rows, sidecar = pipeline.annotate_corpus(segments, cfg, adapters)
-    assert [r.getMessage() for r in caplog.records if " failed, " in r.getMessage()] == []
+    assert [r.getMessage() for r in caplog.records if r.name == "wordbits.adapters"] == []
     lm = ["base_gpt_avs_subw", "ft_gpt_avs_subw"]
     keys = {"src": lm, "tgt": lm,
             "pair": ["base_mt_avs_subw", "ft_mt_avs_subw", "base_bleu", "ft_bleu"]}
@@ -400,10 +425,12 @@ def test_parser_failure_warnings_follow_doc_and_segment_order(tmp_path, caplog):
         logged.append([r.getMessage() for r in caplog.records])
     assert logged[0] == logged[1]
     in_order = sorted(segments, key=lambda seg: seg["doc_id"])  # stable
-    texts = [seg["sides"][side]["clean"] for seg in in_order for side in ("src", "tgt")]
-    assert len(logged[0]) == len(texts) == 12
-    for message, text in zip(logged[0], texts):
-        assert message.startswith(f"parser mock-parser failed on {text!r}")
+    ids = [f"{head}_{seg['doc_id']:0>3}-{seg['seg_id']:0>2}"
+           for seg in in_order for head in ("ORG_SP_DE_EN", "SI_DE_EN")]
+    assert len(logged[0]) == len(ids) == 12
+    for message, seg_id in zip(logged[0], ids):
+        assert message == (f"adapter mock-parser failed on {seg_id}, keeping token-only "
+                           "rows: injected annotate failure")
 
 
 def test_bad_fp_position_fails_only_its_side(tmp_path, caplog):
@@ -631,7 +658,9 @@ def test_raising_lm_nulls_word_bits_and_mean_with_one_warning(caplog):
     bits, mean = _tgt_lm(rows, sidecar, "srp_base_gpt2", "base_gpt_avs_subw")
     assert bits == [None] * 6 and mean is None
     [warning] = caplog.records
-    assert "failed, segment retained with null bits" in warning.getMessage()
+    assert warning.getMessage() == (f"adapter {adapters.lm_base.name} failed on "
+                                    "SI_DE_EN_001-01, segment retained with null bits: "
+                                    "injected score failure")
     bits, mean = _tgt_lm(rows, sidecar, "srp_ft_gpt2", "ft_gpt_avs_subw")
     assert None not in bits and mean is not None
 
@@ -645,9 +674,9 @@ def test_lm_answering_nan_nulls_word_bits_and_mean_with_one_warning(caplog):
     bits, mean = _tgt_lm(rows, sidecar, "srp_base_gpt2", "base_gpt_avs_subw")
     assert bits == [None] * 6 and mean is None
     [warning] = caplog.records
-    assert warning.getMessage() == (f"adapter {adapters.lm_base.name} failed, segment "
-                                    "retained with null bits: log probabilities not finite: "
-                                    "[nan]")
+    assert warning.getMessage() == (f"adapter {adapters.lm_base.name} failed on "
+                                    "SI_DE_EN_001-01, segment retained with null bits: "
+                                    "log probabilities not finite: [nan]")
     bits, mean = _tgt_lm(rows, sidecar, "srp_ft_gpt2", "ft_gpt_avs_subw")
     assert None not in bits and mean is not None
 
@@ -662,6 +691,28 @@ def test_read_jsonl_names_the_line_that_is_not_json(tmp_path, name):
         f.write(lines + "not json\n")
     with pytest.raises(ValueError, match="^" + re.escape(f"{p}:3: not JSON")):
         pipeline.read_jsonl(p)
+
+
+@pytest.mark.parametrize("name", ["clean.jsonl", "clean.jsonl.gz"])
+def test_read_jsonl_skips_blank_lines(tmp_path, name):
+    p = tmp_path / name
+    with pipeline.open_text(p, "w") as f:
+        f.write('{"meta": {"command": "normalize"}}\n{"a": 1}\n\n  \n{"a": 2}\n\n')
+    assert pipeline.read_jsonl(p) == ({"command": "normalize"}, [{"a": 1}, {"a": 2}])
+
+
+@pytest.mark.parametrize("name", ["input.tsv", "input.tsv.gz"])
+def test_input_with_a_byte_order_mark_reads_as_without(tmp_path, name):
+    text = ("doc_id\tseg_id\tsrc_speaker_id\ttgt_speaker_id\tsrc_raw\ttgt_raw\n"
+            "1\t1\tfDE1\tfEN3\twir gehen\twe go\n")
+    rows = []
+    for k, bom in enumerate(("", "\ufeff")):
+        p = tmp_path / f"{k}-{name}"
+        with pipeline.open_text(p, "w") as f:
+            f.write(bom + text)
+        rows.append(pipeline.read_input_tsv(p))
+    assert rows[0] == rows[1]
+    assert rows[0][0]["doc_id"] == "1"
 
 
 def test_read_jsonl_meta_must_be_a_dict(tmp_path):
@@ -713,10 +764,12 @@ def test_nameless_adapters_are_named_by_their_class(tmp_path, caplog):
         runs.append([r.getMessage() for r in caplog.records])
     assert runs[0] == runs[1]
     messages = set(runs[0])
-    assert "adapter _Nameless failed, segment retained with null bits: down" in messages
+    assert ("adapter _Nameless failed on SI_DE_EN_001-01, segment retained with null "
+            "bits: down") in messages
     assert ("adapter _Overscoring scored subwords past the last word; "
             "their bits are not kept") in messages
-    assert any(m.startswith("parser _Nameless failed on ") for m in messages)
+    assert ("adapter _Nameless failed on ORG_SP_DE_EN_001-01, keeping token-only rows: "
+            "down") in messages
     assert not any(" at 0x" in m for m in messages)
     with gzip.open(vertical, "rt", encoding="utf-8") as f:
         header = [ln.rstrip("\n") for ln in f if ln.startswith("# adapter_")]

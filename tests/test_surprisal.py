@@ -109,14 +109,14 @@ def test_replayed_example_mt(replay_files):
     assert by_word["It's"] == pytest.approx(35.3, abs=1e-9)
 
 
-def test_mt_empty_sides_null_with_note():
+def test_mt_scores_whatever_it_is_given():
+    """score_mt checks neither side; the pipeline runs no MT job on a side
+    without words."""
     mt = MockMT()
     out = score_mt("", Seg("ziel", ["ziel"]), mt)
-    assert out[0].bits is None and out[0].note == "empty_source"
-    out = score_mt("quelle", Seg("", []), mt)
-    assert out == []
-    out = score_mt("quelle", Seg("  ", ["x"]), mt)
-    assert out[0].note == "empty_target"
+    assert [(w.recovery_rule, w.note) for w in out] == [("none", None)]
+    assert subword_bits(out) == [-s.logprob2 for s in mt.score("", "ziel")]
+    assert score_mt("quelle", Seg("", []), mt) == []
 
 
 def test_mt_gold_probability_one_scores_zero_bits():
@@ -388,8 +388,6 @@ def test_failed_jobs_leave_no_subword_bits():
                                              window=2)) == [1.0, 1.0, 9.0]
     with pytest.raises(AdapterError):
         score_sliding_window(job, SliceLM("a b c", subs, "x"), window=2)
-    assert subword_bits(score_mt("", job, MockMT())) == []
-    assert subword_bits(score_mt("quelle", Seg(" ", ["x"]), MockMT())) == []
 
 
 class RecordingLM:
