@@ -236,7 +236,7 @@ class _ReplayBase:
         self._units = {}  # surface -> (shared surface, is punct), while loading
         table = self._table = {}
         first_line = {}
-        with open(path, encoding="utf-8") as f:
+        with open(path, encoding="utf-8-sig") as f:
             first = f.readline()
             if not first:
                 raise AdapterError(f"{self.path}: empty replay file")

@@ -17,6 +17,9 @@ from .config import target_ttype
 log = logging.getLogger(__name__)
 
 TEST_DOCS_PER_DIRECTION = 170
+# a document is kept when its alignment score is strictly above its
+# direction's cutoff
+SCORE_CUTOFFS = {"de-en": 0.3, "en-de": 0.5}
 MIN_TEST_SEGMENTS = 12
 
 

@@ -1,11 +1,10 @@
 """Command line entry point.
 
-Subcommands cover the pipeline stages (normalize; annotate, which also
-writes the long and wide tables; aggregate, for a vertical annotated
-elsewhere), the corpus builder (build, stats), and the two analyses
-(fp-analyze, gam).  Every output carries the provenance header of
-``pipeline.provenance``.  Warnings from the wordbits loggers go to stderr
-as "LEVEL logger: message" lines.
+Subcommands cover the pipeline stages (normalize; annotate, which writes
+the vertical, long and wide tables), the corpus builder (build, stats), and
+the two analyses (fp-analyze, gam).  Every output carries the provenance
+header of ``pipeline.provenance``.  Warnings from the wordbits loggers go
+to stderr as "LEVEL logger: message" lines.
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ def _add_common(p):
 def _config_from_args(args) -> RunConfig:
     overrides = {}
     if args.replay:
-        with open(args.replay, encoding="utf-8") as f:
+        with open(args.replay, encoding="utf-8-sig") as f:
             manifest = json.load(f)
         for role, path in manifest.items():
             if role.replace("-", "_") not in pipeline.ROLES:
@@ -74,10 +73,6 @@ def cmd_annotate(args) -> None:
     _report(pipeline.annotate_stage(cfg, adapters))
 
 
-def cmd_aggregate(args) -> None:
-    _report(pipeline.aggregate_stage(_config_from_args(args)))
-
-
 def _load_documents(path) -> list:
     _meta, records = pipeline.read_jsonl(path)
     docs = []
@@ -99,10 +94,9 @@ def cmd_build(args) -> None:
         reports.append(report)
         if doc is not None:
             by_dir.setdefault(doc.lpair, []).append(doc)
-    cutoffs = {"de-en": cfg.score_cutoff_deen, "en-de": cfg.score_cutoff_ende}
     scored = []
     for direction, docs in sorted(by_dir.items()):
-        scored.extend(build.filter_by_score(docs, cutoffs.get(direction, 0.0)))
+        scored.extend(build.filter_by_score(docs, build.SCORE_CUTOFFS.get(direction, 0.0)))
     written_clean = build.remove_overlap(scored, spoken)
 
     spoken_sizes = {}
@@ -218,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     command("normalize", cmd_normalize, "raw parallel TSV -> clean segments")
     command("annotate", cmd_annotate, "clean segments -> vertical, long and wide tables")
-    command("aggregate", cmd_aggregate, "vertical from elsewhere -> long/wide tables")
     p = command("build", cmd_build, "filter documents and cut train/test splits")
     p.add_argument("--spoken", help="spoken documents JSONL for overlap removal")
     command("stats", cmd_stats, "corpus description table")

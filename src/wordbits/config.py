@@ -1,8 +1,9 @@
 """Run configuration: defaults < config file < environment < CLI flags.
 
-Config files are plain key=value lines ("#" comments allowed).  Environment
-variables use the WORDBITS_ prefix with the upper-cased key (WORDBITS_SEED=7).
-Values from every source are checked; a rejection names the key.
+Config files are plain UTF-8 key=value lines ("#" comments allowed, a
+byte-order mark dropped).  Environment variables use the WORDBITS_ prefix
+with the upper-cased key (WORDBITS_SEED=7).  Values from every source are
+checked; a rejection names the key.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import os
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 from .surprisal import SUBWORD_CAP, WINDOW
 
@@ -28,8 +30,6 @@ class RunConfig:
     output_dir: str = "out"
     lpair: str = "de-en"
     mode: str = "sp"
-    src_ttype: str = "ORG"
-    tgt_ttype: str = None  # default: SI when spoken, TR when written
     replay_lm_base: str = None
     replay_lm_ft: str = None
     replay_src_lm_base: str = None
@@ -39,8 +39,6 @@ class RunConfig:
     replay_encoder: str = None
     replay_parser: str = None
     align_threshold: float = 0.01
-    score_cutoff_deen: float = 0.3
-    score_cutoff_ende: float = 0.5
     scoring: str = "bounded"
     window: int = WINDOW
     cap: int = SUBWORD_CAP
@@ -48,8 +46,10 @@ class RunConfig:
     # Inert: annotation runs on one thread and nothing here reads it.  It stays
     # for bench/workloads.py, which sets it, and config_hash hashes every field.
     workers: int = 0
-    doc_pad: int = 3
-    seg_pad: int = 2
+    # fixed by the corpus (ids like ORG_SP_DE_EN_131-02:001), not keys
+    doc_pad: ClassVar[int] = 3
+    seg_pad: ClassVar[int] = 2
+    src_ttype: ClassVar[str] = "ORG"
 
     @property
     def src_lang(self) -> str:
@@ -60,7 +60,7 @@ class RunConfig:
         return self.lpair.split("-")[1].upper()
 
     def target_ttype(self) -> str:
-        return target_ttype(self.mode, self.tgt_ttype)
+        return target_ttype(self.mode, None)
 
 
 def target_ttype(mode: str, tgt_ttype: str) -> str:
@@ -93,7 +93,7 @@ def _checked(name: str, value):
 
 def read_config_file(path) -> dict:
     out = {}
-    with open(path, encoding="utf-8") as f:
+    with open(path, encoding="utf-8-sig") as f:
         for lineno, line in enumerate(f, start=1):
             line = line.strip()
             if not line or line.startswith("#"):

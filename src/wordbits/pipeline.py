@@ -1,11 +1,11 @@
 """End-to-end corpus pipeline: raw parallel input -> normalized segments ->
-annotated vertical rows -> long/wide aggregates.
+annotated vertical rows and their long/wide aggregates.
 
 Each ``*_stage`` function reads one stage's input and writes its outputs,
 with provenance, under ``cfg.output_dir``; each CLI stage command calls one.
 Annotation also returns in-memory "sidecar" records of what the rows cannot
 carry (subword means, pseudo-BLEU, disfluency counts), which the annotate
-stage aggregates with; ``aggregate_stage`` leaves those columns NA.
+stage aggregates the rows with.
 Annotation runs on the calling thread in doc_id order, so identical inputs
 and adapters give byte-identical outputs and the same warnings in order.
 A failing adapter job nulls only its values (a parse keeps token-only rows)
@@ -30,7 +30,7 @@ from .config import RunConfig, config_hash
 from .ids import IMPLIED_MODE, ItemId
 from .records import SegmentPairRecord, SegmentRecord
 from .standardize import standardize
-from .tables import read_table, text_writer, write_table
+from .tables import text_writer, write_table
 from .transcripts import normalize_segment
 
 log = logging.getLogger(__name__)
@@ -196,7 +196,8 @@ def _word_map_from_spans(spans, emb):
 def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
     """Annotate one document's segments; returns (word_rows, sidecar).  Each
     adapter job runs through attempt, named by the side it fills (the source
-    side for an alignment)."""
+    side for an alignment); a scoring job with subwords left past the last
+    word logs one warning naming the segment."""
     rows_out = []
     sidecar = []
     for seg in doc_segments:
@@ -238,6 +239,9 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
                 else:
                     job = (surprisal.score_segment_bounded, parsed, adapter, cfg.cap)
                 scored = attempt(adapter, item, "segment retained with null bits", *job)
+                if scored and scored[-1].note == "unconsumed_subwords":
+                    log.warning("adapter %s scored subwords past the last word of %s; "
+                                "their bits are not kept", adapter_name(adapter), item)
                 if mt:
                     bleu = attempt(adapter, item, "pseudo-BLEU nulled", surprisal.pseudo_bleu,
                                    src_seg.text, parsed.text, adapter)
@@ -334,9 +338,8 @@ def _mean_or_none(values):
 def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
     """Vertical rows and annotate_corpus's sidecar records -> (long records,
     wide records).  Subword means, BLEU and disfluency counts come only from
-    the sidecar; with sidecar None, as for a vertical read from a file,
-    those columns stay null."""
-    info_of = {(rec["doc_id"], rec["seg_id"], rec["side"]): rec for rec in sidecar or ()}
+    the sidecar."""
+    info_of = {(rec["doc_id"], rec["seg_id"], rec["side"]): rec for rec in sidecar}
 
     groups = {}
     for row in word_rows:
@@ -436,11 +439,3 @@ def annotate_stage(cfg: RunConfig, adapters: AdapterSet) -> dict:
         f"adapter_{role}": adapter_name(a) for role in ROLES
         if (a := getattr(adapters, role)) is not None})
     return _write_tables(cfg, prov, vertical=rows, long=longs, wide=wides)
-
-
-def aggregate_stage(cfg: RunConfig) -> dict:
-    """Vertical rows at cfg.input, annotated elsewhere, -> long.tsv.gz and
-    wide.tsv.gz.  The columns only annotation knows (subword means, BLEU,
-    disfluency counts) are NA."""
-    longs, wides = aggregate_rows(read_table(require_input(cfg), "vertical"), None, cfg)
-    return _write_tables(cfg, provenance(cfg, "aggregate"), long=longs, wide=wides)

@@ -12,27 +12,24 @@ realigned to the word rows through a fixed rule cascade:
 Failure is terminal for the segment: from the first unmatched word onward,
 words get null bits and the rule label "failed".  Units left over once every
 word has matched are not dropped silently: the last word carries the note
-"unconsumed_subwords".
+"unconsumed_subwords", which the pipeline logs with the segment's id.
 
-A scorer scores whatever it is given and catches no error.  An adapter that
-raises, output that cannot be read as subword scores, and retokenization
-drift in window rescoring raise out of it; adapters.attempt then nulls that
-job's values and keeps the segment.  The pipeline scores no empty side.
+A scorer scores whatever it is given, catches no error and logs nothing.
+An adapter that raises, output that cannot be read as subword scores, and
+retokenization drift in window rescoring raise out of it; adapters.attempt
+then nulls that job's values and keeps the segment.  The pipeline scores
+no empty side.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 import re
 import unicodedata
 from collections import Counter
 from dataclasses import dataclass
 
-from .adapters import (AdapterError, SubwordScores, adapter_name, detokenize_pieces,
-                       is_punct_text)
-
-log = logging.getLogger(__name__)
+from .adapters import AdapterError, SubwordScores, detokenize_pieces, is_punct_text
 
 RECOVERY_RULES = ("none", "abbreviation", "float_like", "punct_sequence",
                   "split_75_25", "summed", "failed")
@@ -202,16 +199,12 @@ class ScoredJob(list):
     """One job's WordSurprisals; subwords: the SubwordScores behind them."""
 
 
-def _realigned(seg, adapter, subs):
+def _realigned(seg, subs):
     """Realign the subword scores subs to seg.words, as a ScoredJob holding
-    those scores; units left after the last word are logged.  Output that
-    is not subword scores raises."""
+    those scores.  Output that is not subword scores raises."""
     subs = SubwordScores.of(subs)
     out = ScoredJob(realign_cascade(build_units(subs), seg.words))
     out.subwords = subs
-    if out and out[-1].note == "unconsumed_subwords":
-        log.warning("adapter %s scored subwords past the last word; "
-                    "their bits are not kept", adapter_name(adapter))
     return out
 
 
@@ -220,7 +213,7 @@ def score_segment_bounded(seg, adapter, cap: int = SUBWORD_CAP):
 
     Only the cap leftmost subwords are kept; words beyond them fail.
     """
-    return _realigned(seg, adapter, adapter.score(seg.text)[:cap])
+    return _realigned(seg, adapter.score(seg.text)[:cap])
 
 
 def _piece_spans(subs):
@@ -271,12 +264,12 @@ def score_sliding_window(seg, adapter, window: int = WINDOW):
     exactly.  A slice whose last subword is not subword i (retokenization
     drift) raises AdapterError, as a failing adapter raises its own error.
     """
-    return _realigned(seg, adapter, _window_scores(seg, adapter, window))
+    return _realigned(seg, _window_scores(seg, adapter, window))
 
 
 def score_mt(src_text: str, seg, adapter):
     """Teacher-forced target-side scoring through the same cascade."""
-    return _realigned(seg, adapter, adapter.score(src_text, seg.text))
+    return _realigned(seg, adapter.score(src_text, seg.text))
 
 
 def subword_bits(scored) -> list[float]:

@@ -162,21 +162,29 @@ def test_annotate_writes_no_sidecar_file(pipeline_run):
 
 
 def test_aggregate_sidecar_flag_is_gone(tmp_path, capsys):
+    """The aggregate command is gone with its --sidecar flag: annotate
+    writes the long and wide tables itself."""
     with pytest.raises(SystemExit) as exc:
-        main(["aggregate", "--input", str(tmp_path / "vertical.tsv.gz"),
-              "--sidecar", str(tmp_path / "sidecar.jsonl.gz")])
+        main(["aggregate", "--input", str(tmp_path / "vertical.tsv.gz")])
     assert exc.value.code == 2
-    assert "--sidecar" in capsys.readouterr().err
+    assert "invalid choice: 'aggregate'" in capsys.readouterr().err
+    assert not hasattr(pipeline, "aggregate_stage")
+
+
+def _write_src_lm(path):
+    """A source-LM replay file, named src-gpt2, that scores each word of
+    SRC_TEXT 2 bits."""
+    subwords = [{"surface": w, "logprob": -2.0, "begins_word": True}
+                for w in SRC_TEXT.split()]
+    write_replay(path, {"kind": "causal_lm", "name": "src-gpt2", "log_base": "2"},
+                 [({"text": SRC_TEXT}, subwords)])
+    return path
 
 
 def test_source_lm_replay_flag(pipeline_run, tmp_path, capsys):
     """--replay-src-lm-base scores the source side; a manifest naming an
     unknown role is an error record, not a silently ignored entry."""
-    src_lm = tmp_path / "src_lm.jsonl"
-    subwords = [{"surface": w, "logprob": -2.0, "begins_word": True}
-                for w in SRC_TEXT.split()]
-    write_replay(src_lm, {"kind": "causal_lm", "name": "src-gpt2", "log_base": "2"},
-                 [({"text": SRC_TEXT}, subwords)])
+    src_lm = _write_src_lm(tmp_path / "src_lm.jsonl")
     clean = str(pipeline_run["dir"] / "clean.jsonl.gz")
     out = tmp_path / "out"
     assert main(["annotate", "--input", clean,
@@ -201,6 +209,28 @@ def test_source_lm_replay_flag(pipeline_run, tmp_path, capsys):
     record = json.loads(capsys.readouterr().err.strip())
     assert record["error"] == "ValueError"
     assert "'lm-huge'" in record["message"]
+
+
+@pytest.mark.parametrize("bom_file", ["replay", "config", "manifest"])
+def test_files_a_run_reads_may_start_with_a_byte_order_mark(bom_file, pipeline_run,
+                                                           tmp_path):
+    """A replay file, a --config file and a --replay manifest saved with a
+    UTF-8 byte-order mark read as they do without one."""
+    src_lm = _write_src_lm(tmp_path / "src_lm.jsonl")
+    bom = tmp_path / f"bom-{bom_file}"
+    if bom_file == "replay":
+        text, flag = src_lm.read_text(encoding="utf-8"), "--replay-src-lm-base"
+    elif bom_file == "config":
+        text, flag = f"replay_src_lm_base={src_lm}\n", "--config"
+    else:
+        text, flag = json.dumps({"src-lm-base": str(src_lm)}), "--replay"
+    bom.write_text("\ufeff" + text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["annotate", "--input", str(pipeline_run["dir"] / "clean.jsonl.gz"),
+                 flag, str(bom), "--output-dir", str(out), "--direction", "de-en"]) == 0
+    rows = read_table(out / "vertical.tsv.gz", "vertical")
+    src = [r for r in rows if r.lang == "DE"]
+    assert [r.srp_base_gpt2 for r in src] == [2.0] * len(SRC_TEXT.split())
 
 
 def test_unknown_subcommand_exits_nonzero(capsys):
@@ -319,17 +349,20 @@ def test_installed_console_script_reports_version():
     assert out.stdout.strip() == wordbits.__version__
 
 
+def _document(doc_id, lpair="de-en", alignment_score=0.9, mode="wr", n_segs=12,
+              **extra):
+    segs = [{"seg_id": f"{j:02d}",
+             "src_raw": "drei kurze worte hier",
+             "tgt_raw": "three short words here"}
+            for j in range(n_segs)]
+    return {"doc_id": doc_id, "lpair": lpair, "mode": mode,
+            "alignment_score": alignment_score, "segments": segs, **extra}
+
+
 def _write_documents(path, n_docs, n_segs=12):
-    docs = []
-    for i in range(n_docs):
-        segs = [{"seg_id": f"{j:02d}",
-                 "src_raw": "drei kurze worte hier",
-                 "tgt_raw": "three short words here"}
-                for j in range(n_segs)]
-        docs.append({"doc_id": f"{i:03d}", "lpair": "de-en", "mode": "wr",
-                     "alignment_score": 0.9, "speaker_id": f"sp{i % 9}",
-                     "segments": segs})
-    pipeline.write_jsonl(path, docs)
+    pipeline.write_jsonl(path, [_document(f"{i:03d}", n_segs=n_segs,
+                                          speaker_id=f"sp{i % 9}")
+                                for i in range(n_docs)])
 
 
 def test_build_and_stats_subcommands(tmp_path):
@@ -355,6 +388,27 @@ def test_build_and_stats_subcommands(tmp_path):
     header = lines[0].split("\t")
     assert "pct_empty" in header and "len_mean" in header
     assert len(lines) >= 2
+
+
+def test_build_keeps_documents_scored_above_their_direction_cutoff(tmp_path):
+    """build keeps a de-en document scored above 0.3 and an en-de one above
+    0.5: a score equal to the cutoff is dropped, and an en-de score that
+    would pass the de-en cutoff is dropped too."""
+    docs = [_document(f"{i:03d}") for i in range(180)]
+    docs += [_document("deen-0.30", alignment_score=0.3),
+             _document("deen-0.31", alignment_score=0.31),
+             _document("ende-0.45", lpair="en-de", alignment_score=0.45)]
+    pipeline.write_jsonl(tmp_path / "written.jsonl.gz", docs)
+    # spoken documents in de-en alone: the split then needs no en-de ones
+    pipeline.write_jsonl(tmp_path / "spoken.jsonl.gz",
+                         [_document("s001", mode="sp", date="2010-01-01",
+                                    speaker_id="sp1")])
+    assert main(["build", "--input", str(tmp_path / "written.jsonl.gz"),
+                 "--spoken", str(tmp_path / "spoken.jsonl.gz"),
+                 "--output-dir", str(tmp_path), "--mode", "wr"]) == 0
+    with gzip.open(tmp_path / "splits.tsv.gz", "rt", encoding="utf-8") as f:
+        ids = {ln.split("\t")[0] for ln in f if not ln.startswith("#")}
+    assert ids - {"doc_id"} == {f"{i:03d}" for i in range(180)} | {"deen-0.31"}
 
 
 def test_fp_analyze_subcommand(tmp_path):

@@ -1,5 +1,7 @@
 """Configuration merging and hashing."""
 
+from dataclasses import fields
+
 import pytest
 
 from wordbits.config import RunConfig, config_hash, load_config, read_config_file
@@ -17,8 +19,9 @@ def test_defaults():
 
 def test_target_ttype_follows_mode():
     assert load_config(env={}, overrides={"mode": "wr"}).target_ttype() == "TR"
-    cfg = load_config(env={}, overrides={"mode": "wr", "tgt_ttype": "SI"})
-    assert cfg.target_ttype() == "SI"
+    assert load_config(env={}, overrides={"mode": "sp"}).target_ttype() == "SI"
+    with pytest.raises(ValueError, match=r"unknown config keys: \['tgt_ttype'\]"):
+        load_config(env={}, overrides={"mode": "wr", "tgt_ttype": "SI"})
 
 
 def test_precedence_file_env_overrides(tmp_path):
@@ -75,6 +78,24 @@ def test_unknown_keys_fail(tmp_path):
         load_config(p, env={})
     with pytest.raises(ValueError, match="unknown config keys"):
         load_config(env={}, overrides={"capp": 10})
+
+
+def test_corpus_constants_are_not_keys(tmp_path):
+    """The id widths, text types and score cutoffs are fixed by the corpus:
+    a file or an override that sets one fails naming it, and a WORDBITS_
+    variable for one is ignored, like any variable that names no key."""
+    assert len(fields(RunConfig)) == 18
+    p = tmp_path / "run.cfg"
+    for key, value in (("doc_pad", "4"), ("seg_pad", "3"), ("src_ttype", "TR"),
+                       ("tgt_ttype", "SI"), ("score_cutoff_deen", "0.1"),
+                       ("score_cutoff_ende", "0.1")):
+        p.write_text(f"{key}={value}\n", encoding="utf-8")
+        for source in ({"path": p}, {"overrides": {key: value}}):
+            with pytest.raises(ValueError, match=rf"unknown config keys: \[{key!r}\]"):
+                load_config(env={}, **source)
+        cfg = load_config(env={f"WORDBITS_{key.upper()}": value})
+        assert cfg == RunConfig()
+        assert (cfg.doc_pad, cfg.seg_pad, cfg.src_ttype) == (3, 2, "ORG")
 
 
 def test_malformed_file_line(tmp_path):

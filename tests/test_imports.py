@@ -39,8 +39,7 @@ def test_corpus_stages_load_no_scipy(tmp_path):
 from wordbits.cli import main
 d = sys.argv[1]
 for argv in (["normalize", "--input", d + "/input.tsv"],
-             ["annotate", "--mock", "--input", d + "/clean.jsonl.gz"],
-             ["aggregate", "--input", d + "/vertical.tsv.gz"]):
+             ["annotate", "--mock", "--input", d + "/clean.jsonl.gz"]):
     assert main(argv + ["--output-dir", d, "--mode", "sp"]) == 0, argv
 """
     assert _loaded_scipy(script, str(tmp_path)) == []

@@ -187,7 +187,9 @@ def test_aggregate_rows_token_mean_skips_null_word_bits():
     assert longs[0].base_gpt_avs_subw == 2.0
     assert longs[0].wc_tok == 3
 
-    longs, _wides = pipeline.aggregate_rows([_row(1, None)], None, RunConfig())
+    sidecar = [{"doc_id": "001", "seg_id": "01", "side": "tgt",
+                "base_gpt_avs_subw": None}]
+    longs, _wides = pipeline.aggregate_rows([_row(1, None)], sidecar, RunConfig())
     assert longs[0].base_gpt_avs is None
     assert longs[0].base_gpt_avs_subw is None
 
@@ -766,8 +768,10 @@ def test_nameless_adapters_are_named_by_their_class(tmp_path, caplog):
     messages = set(runs[0])
     assert ("adapter _Nameless failed on SI_DE_EN_001-01, segment retained with null "
             "bits: down") in messages
-    assert ("adapter _Overscoring scored subwords past the last word; "
-            "their bits are not kept") in messages
+    assert [m for m in runs[0] if "past the last word" in m] == [
+        f"adapter _Overscoring scored subwords past the last word of "
+        f"SI_DE_EN_00{doc}-0{seg}; their bits are not kept"
+        for doc in (1, 2, 3) for seg in (1, 2)]
     assert ("adapter _Nameless failed on ORG_SP_DE_EN_001-01, keeping token-only rows: "
             "down") in messages
     assert not any(" at 0x" in m for m in messages)
@@ -775,33 +779,3 @@ def test_nameless_adapters_are_named_by_their_class(tmp_path, caplog):
         header = [ln.rstrip("\n") for ln in f if ln.startswith("# adapter_")]
     assert header == ["# adapter_lm_base=_Nameless", "# adapter_lm_ft=_Overscoring",
                       "# adapter_parser=_Nameless"]
-
-
-def _table_cells(path):
-    """A gzip TSV's body rows as dicts of raw cells, keyed by column."""
-    with gzip.open(path, "rt", encoding="utf-8") as f:
-        lines = [ln.rstrip("\n").split("\t") for ln in f if not ln.startswith("#")]
-    return [dict(zip(lines[0], cells)) for cells in lines[1:]]
-
-
-def test_aggregate_stage_without_a_sidecar_nulls_subword_means_and_bleu(tmp_path):
-    """aggregate, run on annotate's vertical, reproduces the long and wide
-    cells the rows carry and writes NA for those only annotation knows."""
-    cfg = _stage_corpus(tmp_path)
-    vertical, *annotated = pipeline.annotate_stage(
-        cfg, pipeline.adapters_from_config(cfg, mock_fallback=True))
-    agg_cfg = replace(cfg, input=vertical, output_dir=str(tmp_path / "aggregate"))
-    tables = [(_table_cells(full), _table_cells(bare))
-              for full, bare in zip(annotated, pipeline.aggregate_stage(agg_cfg))]
-    assert [(len(full), len(bare)) for full, bare in tables] == [(12, 12), (6, 6)]
-    nulled = ("_AvS_subw", "_bleu", "disfluencies", "fillers", "fillers+3")
-    for full_rows, bare_rows in tables:
-        for full, bare in zip(full_rows, bare_rows):
-            assert full.keys() == bare.keys()
-            for column, cell in full.items():
-                if column.endswith(("_AvS", "tokens", "wc_tok")):
-                    assert bare[column] == cell != "NA", column
-                elif column.endswith(nulled):
-                    assert bare[column] == "NA" != cell, column
-                else:
-                    assert bare[column] == cell, column

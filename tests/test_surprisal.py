@@ -218,11 +218,11 @@ def test_cascade_notes_units_left_after_last_word(caplog):
     assert [w.recovery_rule for w in out] == ["none", "none"]
     assert [w.note for w in out] == [None, "unconsumed_subwords"]
     subs = [_sw("a", 1.0), _sw("b", 2.0), _sw("c", 3.0)]
-    with caplog.at_level(logging.WARNING, logger="wordbits.surprisal"):
+    with caplog.at_level(logging.DEBUG, logger="wordbits"):
         out = score_segment_bounded(Seg("a b", ["a", "b"]), FixedLM(subs))
     assert out[-1].note == "unconsumed_subwords"
-    assert [r.getMessage() for r in caplog.records] == [
-        "adapter fixed scored subwords past the last word; their bits are not kept"]
+    # the pipeline, which knows the segment, logs the note; the scorer does not
+    assert caplog.records == []
 
 
 _FUZZ_WORDS = (
