@@ -23,6 +23,10 @@ from .pipeline import output_path, provenance, require_input
 from .records import ParallelSegment
 from .tables import read_table, write_tsv
 
+# by name: run as `python -m wordbits.cli`, __name__ is __main__
+log = logging.getLogger("wordbits.cli")
+
+
 def _add_common(p):
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--input", help="input path for this stage")
@@ -99,11 +103,13 @@ def cmd_build(args) -> None:
         scored.extend(build.filter_by_score(docs, build.SCORE_CUTOFFS.get(direction, 0.0)))
     written_clean = build.remove_overlap(scored, spoken)
 
-    spoken_sizes = {}
+    kept = {doc.lpair for doc in written_clean}
+    for direction in sorted({doc.lpair for doc in written} - kept):
+        log.warning("the filters left no %s documents to split", direction)
+    # without spoken documents, each direction left gets a test split
+    spoken_sizes = {} if spoken else dict.fromkeys(kept, 0)
     for doc in spoken:
         spoken_sizes[doc.lpair] = spoken_sizes.get(doc.lpair, 0) + doc.n_segments
-    if not spoken_sizes:
-        spoken_sizes = {d: 0 for d in by_dir}
     splits = build.make_splits(written_clean, spoken_sizes, cfg.seed)
 
     prov = provenance(cfg, "build")
@@ -170,8 +176,8 @@ def cmd_gam(args) -> None:
     cfg = _config_from_args(args)
     longs = read_table(require_input(cfg), "long")
     wides = read_table(args.wide, "wide")
-    lm_col = f"{args.variant}_gpt_avs"
-    mt_col = f"{args.variant}_mt_avs"
+    lm_col = pipeline.ROLES[f"lm_{args.variant}"].avs
+    mt_col = pipeline.ROLES[f"mt_{args.variant}"].avs
     mt_by_seg = {(w.tgt_doc_id, w.tgt_seg_id): getattr(w, mt_col) for w in wides}
     xs, ys = [], []
     for rec in longs:

@@ -5,7 +5,10 @@ Each ``*_stage`` function reads one stage's input and writes its outputs,
 with provenance, under ``cfg.output_dir``; each CLI stage command calls one.
 Annotation also returns in-memory "sidecar" records of what the rows cannot
 carry (subword means, pseudo-BLEU, disfluency counts), which the annotate
-stage aggregates the rows with.
+stage aggregates the rows with.  ``ROLES`` names every field a scoring role
+fills: a vertical column with its word bits, and the long (LM) or wide (MT)
+record fields of its word mean, subword mean and pseudo-BLEU, the last two
+also its sidecar keys.
 Annotation runs on the calling thread in doc_id order, so identical inputs
 and adapters give byte-identical outputs and the same warnings in order.
 A failing adapter job nulls only its values (a parse keeps token-only rows)
@@ -20,6 +23,7 @@ import logging
 import os
 from bisect import bisect_right
 from dataclasses import field, make_dataclass
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import __version__, align, surprisal
@@ -43,20 +47,23 @@ class Role(NamedTuple):
     kind: str  # adapter kind, as in a replay file's meta line
     side: str = None  # segment side the role scores
     column: str = None  # vertical column its word bits fill
-    key: str = None  # sidecar key of its subword-level mean
+    avs: str = None  # record field of the mean of those word bits
+    avs_subw: str = None  # record field and sidecar key of its subword mean
+    bleu: str = None  # wide field and sidecar key of its pseudo-BLEU
 
 
-# Every adapter role, in scoring order.  MT scores the target given the
-# source; its sidecar mean and pseudo-BLEU go to the "pair" record.  The
-# --replay-<role> flags, replay_<role> config keys and adapter_<role>
+# Every adapter role, in scoring order, and the fields it fills: an LM role's
+# in the long record of the side it scores, an MT role's (it scores the target
+# given the source) in the wide record, through the "pair" sidecar record.
+# The --replay-<role> flags, replay_<role> config keys and adapter_<role>
 # provenance entries are named after these keys.
 ROLES = {
-    "lm_base": Role("causal_lm", "tgt", "srp_base_gpt2", "base_gpt_avs_subw"),
-    "lm_ft": Role("causal_lm", "tgt", "srp_ft_gpt2", "ft_gpt_avs_subw"),
-    "src_lm_base": Role("causal_lm", "src", "srp_base_gpt2", "base_gpt_avs_subw"),
-    "src_lm_ft": Role("causal_lm", "src", "srp_ft_gpt2", "ft_gpt_avs_subw"),
-    "mt_base": Role("mt", "tgt", "srp_base_mt", "base_mt_avs_subw"),
-    "mt_ft": Role("mt", "tgt", "srp_ft_mt", "ft_mt_avs_subw"),
+    "lm_base": Role("causal_lm", "tgt", "srp_base_gpt2", "base_gpt_avs", "base_gpt_avs_subw"),
+    "lm_ft": Role("causal_lm", "tgt", "srp_ft_gpt2", "ft_gpt_avs", "ft_gpt_avs_subw"),
+    "src_lm_base": Role("causal_lm", "src", "srp_base_gpt2", "base_gpt_avs", "base_gpt_avs_subw"),
+    "src_lm_ft": Role("causal_lm", "src", "srp_ft_gpt2", "ft_gpt_avs", "ft_gpt_avs_subw"),
+    "mt_base": Role("mt", "tgt", "srp_base_mt", "base_mt_avs", "base_mt_avs_subw", "base_bleu"),
+    "mt_ft": Role("mt", "tgt", "srp_ft_mt", "ft_mt_avs", "ft_mt_avs_subw", "ft_bleu"),
     "encoder": Role("encoder"),
     "parser": Role("parser"),
 }
@@ -251,9 +258,9 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
                         setattr(row, spec.column, ws.bits)
                 # the mean of the subwords the word bits came from, if any
                 mean = _mean_or_none(surprisal.subword_bits(scored))
-            extra["pair" if mt else spec.side][spec.key] = mean
+            extra["pair" if mt else spec.side][spec.avs_subw] = mean
             if mt:
-                extra["pair"][spec.key.replace("mt_avs_subw", "bleu")] = bleu
+                extra["pair"][spec.bleu] = bleu
 
         if _runs(adapters.encoder, src_seg, tgt_seg):
             attempt(adapters.encoder, ids["src"], "alignments nulled", _align_segment,
@@ -263,10 +270,8 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
         keys = {"doc_id": prefix.doc_id, "seg_id": prefix.seg_id}
         for side in ("src", "tgt"):
             rows_out.extend(sides[side].word_rows)
-            sidecar.append({**keys, "side": side,
-                            "counts": seg["sides"][side]["counts"],
-                            **extra[side]})
-        sidecar.append({**keys, "side": "pair", **extra["pair"]})
+            extra[side]["counts"] = seg["sides"][side]["counts"]
+        sidecar.extend({**keys, "side": side, **extra[side]} for side in extra)
     return rows_out, sidecar
 
 
@@ -337,8 +342,9 @@ def _mean_or_none(values):
 
 def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
     """Vertical rows and annotate_corpus's sidecar records -> (long records,
-    wide records).  Subword means, BLEU and disfluency counts come only from
-    the sidecar."""
+    wide records).  Each role that scores a side fills the fields ROLES names:
+    its word mean from the rows, its subword mean and BLEU from the sidecar,
+    which alone also holds the disfluency counts."""
     info_of = {(rec["doc_id"], rec["seg_id"], rec["side"]): rec for rec in sidecar}
 
     groups = {}
@@ -347,48 +353,34 @@ def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
         groups.setdefault(key, []).append(row)
 
     longs = []
-    wides = {}
+    wides = {}  # (doc_id, seg_id) -> the wide record's fields
     for (doc_id, seg_id, lang, ttype), rows in groups.items():
         surface = [r for r in rows if not r.is_expansion]
         word = [r for r in surface if not r.is_fp]
         side = "src" if ttype == cfg.src_ttype else "tgt"
         info = info_of.get((doc_id, seg_id, side), {})
-        counts = info.get("counts") or {}
-        rec = SegmentRecord(
+        pair = info_of.get((doc_id, seg_id, "pair"), {})
+        long_fields = {}
+        wide_fields = wides.setdefault((doc_id, seg_id), {})
+        wide_fields.update(lpair=rows[0].lpair, mode=rows[0].mode)
+        wide_fields[f"{side}_raw_seg"] = rows[0].raw_seg
+        for spec in ROLES.values():
+            if spec.side != side:
+                continue
+            out, rec = (wide_fields, pair) if spec.kind == "mt" else (long_fields, info)
+            out[spec.avs] = _mean_or_none(map(attrgetter(spec.column), word))
+            out[spec.avs_subw] = rec.get(spec.avs_subw)
+            if spec.bleu:
+                out[spec.bleu] = rec.get(spec.bleu)
+        longs.append(SegmentRecord(
             doc_id=doc_id, seg_id=seg_id,
             lpair=rows[0].lpair, lang=lang, mode=rows[0].mode, ttype=ttype,
-            speaker_id=rows[0].speaker_id,
-            base_gpt_avs=_mean_or_none([r.srp_base_gpt2 for r in word]),
-            base_gpt_avs_subw=info.get("base_gpt_avs_subw"),
-            ft_gpt_avs=_mean_or_none([r.srp_ft_gpt2 for r in word]),
-            ft_gpt_avs_subw=info.get("ft_gpt_avs_subw"),
-            disfluencies=counts.get("disfluencies"),
-            fillers=counts.get("fillers"),
-            fillers_plus_3=counts.get("fillers_plus_3"),
-            raw_seg=rows[0].raw_seg,
-            tokens=[r.token for r in surface],
-            wc_tok=len(word),
-        )
-        longs.append(rec)
-
-        wkey = (doc_id, seg_id)
-        if wkey not in wides:
-            wides[wkey] = SegmentPairRecord(src_doc_id=doc_id, src_seg_id=seg_id,
-                                            tgt_doc_id=doc_id, tgt_seg_id=seg_id,
-                                            lpair=rows[0].lpair, mode=rows[0].mode)
-        wide = wides[wkey]
-        if side == "src":
-            wide.src_raw_seg = rows[0].raw_seg
-        else:
-            wide.tgt_raw_seg = rows[0].raw_seg
-            wide.base_mt_avs = _mean_or_none([r.srp_base_mt for r in word])
-            wide.ft_mt_avs = _mean_or_none([r.srp_ft_mt for r in word])
-            pair = info_of.get((doc_id, seg_id, "pair"), {})
-            wide.base_mt_avs_subw = pair.get("base_mt_avs_subw")
-            wide.ft_mt_avs_subw = pair.get("ft_mt_avs_subw")
-            wide.base_bleu = pair.get("base_bleu")
-            wide.ft_bleu = pair.get("ft_bleu")
-    return longs, list(wides.values())
+            speaker_id=rows[0].speaker_id, raw_seg=rows[0].raw_seg,
+            tokens=[r.token for r in surface], wc_tok=len(word),
+            **long_fields, **(info.get("counts") or {})))
+    return longs, [SegmentPairRecord(src_doc_id=d, src_seg_id=s, tgt_doc_id=d,
+                                     tgt_seg_id=s, **fields)
+                   for (d, s), fields in wides.items()]
 
 
 def provenance(cfg: RunConfig, command: str, **extra) -> dict:

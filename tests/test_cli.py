@@ -411,6 +411,38 @@ def test_build_keeps_documents_scored_above_their_direction_cutoff(tmp_path):
     assert ids - {"doc_id"} == {f"{i:03d}" for i in range(180)} | {"deen-0.31"}
 
 
+def test_build_without_spoken_splits_the_directions_the_filters_leave(tmp_path, capsys):
+    """Without --spoken, a direction whose every document the score cutoff
+    drops is named in one warning and left out of the split."""
+    docs = [_document(f"{i:03d}") for i in range(180)]
+    docs.append(_document("ende-0.45", lpair="en-de", alignment_score=0.45))
+    pipeline.write_jsonl(tmp_path / "written.jsonl.gz", docs)
+    assert main(["build", "--input", str(tmp_path / "written.jsonl.gz"),
+                 "--output-dir", str(tmp_path), "--mode", "wr"]) == 0
+    assert capsys.readouterr().err.splitlines() == [
+        "WARNING wordbits.cli: the filters left no en-de documents to split"]
+    with gzip.open(tmp_path / "splits.tsv.gz", "rt", encoding="utf-8") as f:
+        rows = [ln.split("\t") for ln in f if not ln.startswith("#")]
+    assert {row[0] for row in rows[1:]} == {f"{i:03d}" for i in range(180)}
+    assert {row[1] for row in rows[1:]} == {"de-en"}
+
+
+@pytest.mark.xfail(strict=True, reason="a token or list element spelled NA cannot be "
+                   "written, and the table write ends the whole run")
+def test_a_word_spelled_na_does_not_end_the_annotate_run(tmp_path):
+    tsv = tmp_path / "input.tsv"
+    tsv.write_text("\t".join(pipeline.INPUT_COLUMNS) + "\n"
+                   "1\t1\tspk1\tint1\tder Ausschuss\tthe committee\n"
+                   "1\t2\tspk1\tint1\tder Ausschuss\tthe NA committee\n",
+                   encoding="utf-8")
+    common = ["--output-dir", str(tmp_path), "--mode", "wr", "--direction", "de-en"]
+    assert main(["normalize", "--input", str(tsv)] + common) == 0
+    assert main(["annotate", "--mock", "--input", str(tmp_path / "clean.jsonl.gz")]
+                + common) == 0
+    for table in ("vertical", "long", "wide"):
+        assert (tmp_path / f"{table}.tsv.gz").exists()
+
+
 def test_fp_analyze_subcommand(tmp_path):
     vertical = tmp_path / "vertical.tsv.gz"
     write_table(fp_vertical_rows(), "vertical", vertical)

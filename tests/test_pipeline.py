@@ -14,11 +14,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from test_pinned_bytes import _MODES, _write_corpus
 from wordbits import pipeline
 from wordbits.adapters import AdapterError, MockCausalLM
+from wordbits.cli import _config_from_args, build_parser
 from wordbits.config import RunConfig
 from wordbits.ids import ItemId
-from wordbits.records import WordRow
+from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
+from wordbits.tables import read_table, write_table
 
 SRP_COLUMNS = ("srp_base_gpt2", "srp_ft_gpt2", "srp_base_mt", "srp_ft_mt")
 
@@ -105,6 +108,74 @@ def test_roles_declare_every_adapter_set_field():
         assert (spec.column is None) == (spec.kind in ("encoder", "parser"))
 
 
+def test_roles_name_record_fields():
+    """Each scoring role names a vertical column, and record fields of the
+    long (LM) or wide (MT) format; a source and a target LM of one variant
+    fill the same fields, of their own side's long record."""
+    record = {"causal_lm": SegmentRecord, "mt": SegmentPairRecord}
+    for role, spec in pipeline.ROLES.items():
+        if spec.column is None:
+            assert spec[3:] == (None, None, None), role
+            continue
+        assert spec.column in WordRow.__dataclass_fields__
+        names = [spec.avs, spec.avs_subw] + ([spec.bleu] if spec.kind == "mt" else [])
+        assert set(names) <= set(record[spec.kind].__dataclass_fields__), role
+        assert (spec.bleu is None) == (spec.kind == "causal_lm")
+    assert pipeline.ROLES["lm_base"][2:] == pipeline.ROLES["src_lm_base"][2:]
+    assert pipeline.ROLES["lm_ft"][2:] == pipeline.ROLES["src_lm_ft"][2:]
+
+
+def _body(path):
+    """A table's lines below its "#" provenance lines."""
+    with gzip.open(path, "rt", encoding="utf-8") as f:
+        return [line for line in f if not line.startswith("#")]
+
+
+@pytest.mark.parametrize("mode", sorted(_MODES) + ["replay"])
+def test_read_back_path_gives_the_annotate_stage_bodies(mode, tmp_path, replay_files,
+                                                        example_input_tsv):
+    """annotate_corpus, then the vertical written and read back with
+    read_table and the sidecar round-tripped through write_jsonl and
+    read_jsonl, then aggregate_rows (the path the benchmark op times) give
+    the long and wide bodies that annotate_stage writes, from rows and
+    sidecar records in either order of segments."""
+    if mode == "replay":
+        flags = ["--mode", "sp", "--direction", "de-en"]
+        tsv = example_input_tsv
+    else:
+        flags, src_vocab, tgt_vocab = _MODES[mode]
+        tsv = tmp_path / "input.tsv"
+        _write_corpus(tsv, src_vocab, tgt_vocab, spoken=flags[1] == "sp", seed=3)
+    out = tmp_path / "out"
+    cfg = _config_from_args(build_parser().parse_args(
+        ["annotate", "--input", str(tsv), "--output-dir", str(out)] + flags))
+    if mode == "replay":
+        cfg = replace(cfg, **{f"replay_{role}": path for role, path in replay_files.items()})
+    [clean] = pipeline.normalize_stage(cfg)
+    cfg = replace(cfg, input=clean)
+    adapters = pipeline.adapters_from_config(cfg, mock_fallback=mode != "replay")
+    pipeline.annotate_stage(cfg, adapters)
+
+    _meta, segs = pipeline.read_jsonl(clean)
+    rows, sidecar = pipeline.annotate_corpus(segs, cfg, adapters)
+    write_table(rows, "vertical", tmp_path / "vertical.tsv.gz")
+    pipeline.write_jsonl(tmp_path / "sidecar.jsonl.gz", sidecar, meta={"command": "test"})
+    rows = read_table(tmp_path / "vertical.tsv.gz", "vertical")
+    _meta, sidecar = pipeline.read_jsonl(tmp_path / "sidecar.jsonl.gz")
+    assert _body(tmp_path / "vertical.tsv.gz") == _body(out / "vertical.tsv.gz")
+    # segments last to first, each segment's rows in their order
+    backwards = sorted(rows, key=lambda r: (r.doc_id, r.seg_id), reverse=True)
+    for order, (in_rows, in_sidecar) in (("read", (rows, sidecar)),
+                                         ("backwards", (backwards, sidecar[::-1]))):
+        longs, wides = pipeline.aggregate_rows(in_rows, in_sidecar, cfg)
+        for fmt, records in (("long", longs), ("wide", wides)):
+            write_table(records, fmt, tmp_path / f"{fmt}.tsv.gz")
+            got, want = _body(tmp_path / f"{fmt}.tsv.gz"), _body(out / f"{fmt}.tsv.gz")
+            if order == "backwards":
+                got, want = sorted(got), sorted(want)
+            assert got == want, (fmt, order)
+
+
 def test_encoder_failure_nulls_alignments_keeps_rows(example_segments,
                                                       replay_files, caplog):
     rows, sidecar = _annotate(example_segments, replay_files)
@@ -160,9 +231,8 @@ def test_empty_source_leaves_mt_subword_mean_null(tmp_path):
     tgt = [r for r in rows if r.lang == "EN"]
     for role in ("mt_base", "mt_ft"):
         spec = pipeline.ROLES[role]
-        bleu = spec.key.replace("mt_avs_subw", "bleu")
-        assert empty[spec.key] is None and empty[bleu] is None
-        assert full[spec.key] is not None and full[bleu] is not None
+        assert empty[spec.avs_subw] is None and empty[spec.bleu] is None
+        assert full[spec.avs_subw] is not None and full[spec.bleu] is not None
         assert [getattr(r, spec.column) is None for r in tgt] == \
             [r.seg_id == tgt[0].seg_id for r in tgt]
     # the target LM means do not depend on the source side
@@ -623,7 +693,7 @@ def test_window_subword_mean_conserves_the_word_bits():
     assert n_subwords == 240 and len(calls) == 1 + 240 - 64
     for role in ("lm_base", "lm_ft"):
         spec = pipeline.ROLES[role]
-        bits, mean = _tgt_lm(rows, sidecar, spec.column, spec.key)
+        bits, mean = _tgt_lm(rows, sidecar, spec.column, spec.avs_subw)
         assert len(bits) == 60 and None not in bits
         assert mean * n_subwords == pytest.approx(sum(bits), rel=1e-12)
 
