@@ -18,7 +18,7 @@ from dataclasses import fields
 
 from . import __version__, build, gam, pipeline
 from .config import CHOICES, RunConfig, load_config
-from .fp import GROUPING_FIELDS, PREDICTORS, build_fp_dataset, fit_logistic
+from .fp import GROUPING_FIELDS
 from .pipeline import output_path, provenance, require_input
 from .records import ParallelSegment
 from .tables import read_table, write_tsv
@@ -146,30 +146,9 @@ def cmd_stats(args) -> None:
 
 
 def cmd_fp_analyze(args) -> None:
-    cfg = _config_from_args(args)
-    rows = read_table(require_input(cfg), "vertical")
-    tgt_rows = [r for r in rows if r.ttype == cfg.target_ttype()]
-    src_rows = [r for r in rows if r.ttype == cfg.src_ttype]
-    direction = cfg.lpair.upper()
-    data = build_fp_dataset(tgt_rows, src_rows, direction, variant=args.variant)
     # "" names no factor: a plain GLM
     intercepts = tuple(f for f in args.random_intercepts.split(",") if f)
-    fit = fit_logistic(data, random_intercepts=intercepts)
-    prov = provenance(cfg, "fp-analyze", variant=args.variant, direction=direction,
-                      aic=repr(fit.aic), c=repr(fit.c), n_obs=fit.n_obs,
-                      loglik=repr(fit.loglik),
-                      **{f"sigma2_{k}": repr(v) for k, v in fit.variances.items()})
-    rows = []
-    for term in ("intercept",) + tuple(PREDICTORS):
-        if term not in fit.coefficients:
-            continue
-        est = fit.coefficients[term]
-        se = fit.std_errors[term]
-        z = est / se if se else float("nan")
-        rows.append((term, repr(est), repr(se), repr(z)))
-    out = output_path(cfg, "fp_model.tsv.gz")
-    write_tsv(out, ("term", "estimate", "std_error", "z"), rows, prov)
-    print(f"wrote {out} (AIC {fit.aic:.2f}, C {fit.c:.3f}, n {fit.n_obs})")
+    _report(pipeline.fp_analyze_stage(_config_from_args(args), args.variant, intercepts))
 
 
 def cmd_gam(args) -> None:
@@ -181,10 +160,9 @@ def cmd_gam(args) -> None:
     mt_by_seg = {(w.tgt_doc_id, w.tgt_seg_id): getattr(w, mt_col) for w in wides}
     xs, ys = [], []
     for rec in longs:
-        if rec.lang != cfg.tgt_lang:
+        if rec.ttype == cfg.src_ttype:
             continue
-        lm = getattr(rec, lm_col)
-        mt = mt_by_seg.get((rec.doc_id, rec.seg_id))
+        lm, mt = getattr(rec, lm_col), mt_by_seg.get((rec.doc_id, rec.seg_id))
         if lm is None or mt is None:
             continue
         x, y = (mt, lm) if args.orientation == "lm_on_mt" else (lm, mt)

@@ -31,6 +31,8 @@ from operator import attrgetter
 
 import numpy as np
 
+from .records import word_mean
+
 PREDICTORS = ("nxtwS_tgt", "nxtwS_src", "nxtwS_mt",
               "AvS_tgt", "AvS_src", "AvS_mt")
 GROUPING_FIELDS = ("speaker_id", "doc_id", "direction")
@@ -83,64 +85,42 @@ def zscore(values, name):
     return (arr - arr.mean()) / sd
 
 
-def build_fp_dataset(tgt_rows, src_rows, direction: str,
-                     variant: str = "base") -> list:
-    """One observation per eligible target surface word.
+def build_fp_dataset(tgt_rows, src_rows, direction: str, lm_col: str,
+                     mt_col: str) -> list:
+    """One observation per eligible target surface word, from the vertical
+    columns lm_col (LM bits, both sides) and mt_col (MT bits, target side).
 
     Eligible: not an FP, not an expansion row, has LM and MT surprisal, and
     at least one aligned source word whose LM surprisal resolves.  Outcome is
     whether the immediately preceding surface row in the segment is an FP
     (expansion rows are skipped when looking back; no cross-segment lookback).
+    The AvS predictors are records.word_mean of the segment, the means the
+    long and wide tables publish, before z-scoring.
     """
-    lm_col = f"srp_{variant}_gpt2"
-    mt_col = f"srp_{variant}_mt"
     src_by_id = {str(r.word_id): r for r in src_rows}
-
-    src_seg_means = {}
-    for r in src_rows:
-        if r.is_fp or r.is_expansion:
-            continue
-        v = getattr(r, lm_col)
-        if v is not None:
-            src_seg_means.setdefault((r.doc_id, r.seg_id), []).append(v)
-    src_seg_means = {k: float(np.mean(v)) for k, v in src_seg_means.items()}
-
-    segments = {}
-    for r in tgt_rows:
-        segments.setdefault((r.doc_id, r.seg_id), []).append(r)
+    src_means = {key: word_mean(rows, lm_col) for key, rows in _by_segment(src_rows)}
 
     raw = []
-    for key, seg_rows in segments.items():
+    for key, seg_rows in _by_segment(tgt_rows):
         rows = [r for r in seg_rows if not r.is_expansion]
-        lm_vals = [getattr(r, lm_col) for r in rows
-                   if not r.is_fp and getattr(r, lm_col) is not None]
-        mt_vals = [getattr(r, mt_col) for r in rows
-                   if not r.is_fp and getattr(r, mt_col) is not None]
-        avs_tgt = float(np.mean(lm_vals)) if lm_vals else None
-        avs_mt = float(np.mean(mt_vals)) if mt_vals else None
-        avs_src = src_seg_means.get(key)
-        prev = None
-        for r in rows:
-            outcome = 1 if (prev is not None and prev.is_fp) else 0
-            prev = r
+        avs_tgt, avs_mt = word_mean(rows, lm_col), word_mean(rows, mt_col)
+        avs_src = src_means.get(key)
+        if avs_tgt is None or avs_mt is None or avs_src is None:
+            continue  # an observation needs all three segment means
+        for prev, r in zip([None, *rows], rows):
             if r.is_fp:
                 continue
-            lm = getattr(r, lm_col)
-            mt = getattr(r, mt_col)
+            lm, mt = getattr(r, lm_col), getattr(r, mt_col)
             if lm is None or mt is None or not r.aligned_word_id:
                 continue
-            src_vals = []
-            for sid in r.aligned_word_id:
-                src_row = src_by_id.get(sid)
-                if src_row is not None and getattr(src_row, lm_col) is not None:
-                    src_vals.append(getattr(src_row, lm_col))
+            src_vals = [v for sid in r.aligned_word_id
+                        if (v := getattr(src_by_id.get(sid), lm_col, None)) is not None]
             if not src_vals:
                 continue
-            if avs_tgt is None or avs_mt is None or avs_src is None:
-                continue
             raw.append(FPObservation(
-                outcome=outcome, nxtwS_tgt=lm, nxtwS_src=float(np.mean(src_vals)),
-                nxtwS_mt=mt, AvS_tgt=avs_tgt, AvS_src=avs_src, AvS_mt=avs_mt,
+                outcome=int(prev is not None and prev.is_fp), nxtwS_tgt=lm,
+                nxtwS_src=float(np.mean(src_vals)), nxtwS_mt=mt,
+                AvS_tgt=avs_tgt, AvS_src=avs_src, AvS_mt=avs_mt,
                 speaker_id=r.speaker_id, doc_id=r.doc_id, direction=direction))
 
     if not raw:
@@ -151,6 +131,14 @@ def build_fp_dataset(tgt_rows, src_rows, direction: str,
         for name in PREDICTORS:
             setattr(obs, name, float(cols[name][i]))
     return raw
+
+
+def _by_segment(rows):
+    """(doc_id, seg_id) and the segment's rows, in order of first row."""
+    segments = {}
+    for r in rows:
+        segments.setdefault((r.doc_id, r.seg_id), []).append(r)
+    return segments.items()
 
 
 def _sigmoid(eta):

@@ -1,8 +1,9 @@
 """End-to-end corpus pipeline: raw parallel input -> normalized segments ->
-annotated vertical rows and their long/wide aggregates.
+annotated vertical rows and their long/wide aggregates -> the FP model.
 
 Each ``*_stage`` function reads one stage's input and writes its outputs,
 with provenance, under ``cfg.output_dir``; each CLI stage command calls one.
+``fp_analyze_stage`` reads the sides and the direction from the vertical.
 Annotation also returns in-memory "sidecar" records of what the rows cannot
 carry (subword means, pseudo-BLEU, disfluency counts), which the annotate
 stage aggregates the rows with.  ``ROLES`` names every field a scoring role
@@ -23,18 +24,17 @@ import logging
 import os
 from bisect import bisect_right
 from dataclasses import field, make_dataclass
-from operator import attrgetter
 from typing import NamedTuple
 
-from . import __version__, align, surprisal
+from . import __version__, align, fp, surprisal
 from .adapters import (MockCausalLM, MockEncoder, MockMT, ReplayCausalLM,
                        ReplayEncoder, ReplayMT, adapter_name, attempt, meta_of)
 from .annotate import MockParser, ReplayParser, annotate_segment
 from .config import RunConfig, config_hash
 from .ids import IMPLIED_MODE, ItemId
-from .records import SegmentPairRecord, SegmentRecord
+from .records import SegmentPairRecord, SegmentRecord, word_mean
 from .standardize import standardize
-from .tables import text_writer, write_table
+from .tables import read_table, text_writer, write_table, write_tsv
 from .transcripts import normalize_segment
 
 log = logging.getLogger(__name__)
@@ -257,7 +257,8 @@ def annotate_document(doc_segments, cfg: RunConfig, adapters: AdapterSet):
                     if ws.bits is not None:
                         setattr(row, spec.column, ws.bits)
                 # the mean of the subwords the word bits came from, if any
-                mean = _mean_or_none(surprisal.subword_bits(scored))
+                bits = surprisal.subword_bits(scored)
+                mean = sum(bits) / len(bits) if bits else None
             extra["pair" if mt else spec.side][spec.avs_subw] = mean
             if mt:
                 extra["pair"][spec.bleu] = bleu
@@ -335,11 +336,6 @@ def annotate_corpus(segments, cfg: RunConfig, adapters: AdapterSet):
     return rows, sidecar
 
 
-def _mean_or_none(values):
-    vals = [v for v in values if v is not None]
-    return sum(vals) / len(vals) if vals else None
-
-
 def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
     """Vertical rows and annotate_corpus's sidecar records -> (long records,
     wide records).  Each role that scores a side fills the fields ROLES names:
@@ -368,7 +364,7 @@ def aggregate_rows(word_rows, sidecar, cfg: RunConfig):
             if spec.side != side:
                 continue
             out, rec = (wide_fields, pair) if spec.kind == "mt" else (long_fields, info)
-            out[spec.avs] = _mean_or_none(map(attrgetter(spec.column), word))
+            out[spec.avs] = word_mean(rows, spec.column)
             out[spec.avs_subw] = rec.get(spec.avs_subw)
             if spec.bleu:
                 out[spec.bleu] = rec.get(spec.bleu)
@@ -431,3 +427,31 @@ def annotate_stage(cfg: RunConfig, adapters: AdapterSet) -> dict:
         f"adapter_{role}": adapter_name(a) for role in ROLES
         if (a := getattr(adapters, role)) is not None})
     return _write_tables(cfg, prov, vertical=rows, long=longs, wide=wides)
+
+
+def fp_analyze_stage(cfg: RunConfig, variant: str, intercepts) -> dict:
+    """The vertical table at cfg.input -> fp_model.tsv.gz, the FP model of
+    variant's bits.  The source side is the rows of ttype cfg.src_ttype, and
+    the direction the rows' one lpair; any other count raises ValueError."""
+    path = require_input(cfg)
+    rows = read_table(path, "vertical")
+    lpairs = sorted({r.lpair for r in rows}, key=str)
+    if len(lpairs) != 1 or lpairs[0] is None:
+        raise ValueError(f"{path}: the FP model fits one language pair, the rows hold {lpairs}")
+    direction = lpairs[0].upper()
+    src_rows = [r for r in rows if r.ttype == cfg.src_ttype]
+    tgt_rows = [r for r in rows if r.ttype != cfg.src_ttype]
+    data = fp.build_fp_dataset(tgt_rows, src_rows, direction, ROLES[f"lm_{variant}"].column,
+                               ROLES[f"mt_{variant}"].column)
+    fit = fp.fit_logistic(data, random_intercepts=intercepts)
+    prov = provenance(cfg, "fp-analyze", variant=variant, direction=direction,
+                      aic=repr(fit.aic), c=repr(fit.c), n_obs=fit.n_obs,
+                      loglik=repr(fit.loglik),
+                      **{f"sigma2_{k}": repr(v) for k, v in fit.variances.items()})
+    ses = fit.std_errors
+    terms = [(term, repr(est), repr(ses[term]),
+              repr(est / ses[term] if ses[term] else float("nan")))
+             for term, est in fit.coefficients.items()]
+    out = output_path(cfg, "fp_model.tsv.gz")
+    write_tsv(out, ("term", "estimate", "std_error", "z"), terms, prov)
+    return {out: len(terms)}

@@ -70,6 +70,15 @@ class WordRow:
                 raise ValueError(f"{name}={v!r} on {self.word_id} is not a finite non-negative value")
 
 
+def word_mean(rows, column):
+    """sum / len of column over the rows that are neither FP nor expansion
+    rows, nulls skipped, or None: the long and wide tables' *_AvS fields and
+    the FP model's AvS predictors."""
+    vals = [v for r in rows if (v := getattr(r, column)) is not None
+            and not (r.is_fp or r.is_expansion)]
+    return sum(vals) / len(vals) if vals else None
+
+
 @dataclass(slots=True)
 class SegmentRecord:
     """One row of the long (segment-level, one side) format."""

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from wordbits.adapters import write_replay
+from wordbits.cli import main
 from wordbits.ids import ItemId
 from wordbits.records import SegmentPairRecord, SegmentRecord, WordRow
 from wordbits.tables import write_table
@@ -243,24 +244,49 @@ def fp_vertical_rows():
     return rows
 
 
-def write_gam_tables(directory):
-    """Long and wide tables of 80 segments whose LM mean is 2x their MT
-    mean plus noise; returns their paths."""
-    rng = random.Random(7)
+def write_gam_tables(directory, lpair):
+    """Long and wide tables of 80 segments of direction lpair whose target
+    side's LM mean is 2x their MT mean plus noise; the source side's LM
+    means are drawn apart and do not track the MT means.  Returns the
+    paths."""
+    src_lang, tgt_lang = lpair.upper().split("-")
+    rng, src_rng = random.Random(7), random.Random(8)
     longs, wides = [], []
     for i in range(80):
         x = rng.uniform(2.0, 12.0)
         y = 2.0 * x + rng.gauss(0.0, 0.3)
         seg_id = f"{i:03d}"
-        longs.append(SegmentRecord(doc_id="001", seg_id=seg_id, lpair="de-en",
-                                   lang="EN", mode="sp", ttype="SI",
+        longs.append(SegmentRecord(doc_id="001", seg_id=seg_id, lpair=lpair,
+                                   lang=src_lang, mode="sp", ttype="ORG",
+                                   base_gpt_avs=src_rng.uniform(2.0, 30.0)))
+        longs.append(SegmentRecord(doc_id="001", seg_id=seg_id, lpair=lpair,
+                                   lang=tgt_lang, mode="sp", ttype="SI",
                                    base_gpt_avs=y))
         wides.append(SegmentPairRecord(src_doc_id="001", src_seg_id=seg_id,
                                        tgt_doc_id="001", tgt_seg_id=seg_id,
-                                       lpair="de-en", mode="sp",
+                                       lpair=lpair, mode="sp",
                                        base_mt_avs=x))
     long_path = directory / "long.tsv.gz"
     wide_path = directory / "wide.tsv.gz"
     write_table(longs, "long", long_path)
     write_table(wides, "wide", wide_path)
     return long_path, wide_path
+
+
+@pytest.fixture(scope="session")
+def ende_tables(tmp_path_factory):
+    """The directory of the vertical, long and wide tables that normalize
+    and annotate --mock --direction en-de write from 80 segments of the
+    benchmark's spoken corpus generator (seed 1).  Each segment is its own
+    document, so an FP observation's doc_id names its segment."""
+    from bench import corpus  # the repository root is on sys.path under python -m pytest
+
+    d = tmp_path_factory.mktemp("ende")
+    rows = corpus.spoken_rows(1, 80)
+    for i, row in enumerate(rows, start=1):
+        row["doc_id"], row["seg_id"] = str(i), "1"
+    corpus.write_input_tsv(d / "input.tsv", rows)
+    common = ["--output-dir", str(d), "--direction", "en-de", "--mode", "sp"]
+    assert main(["normalize", "--input", str(d / "input.tsv"), *common]) == 0
+    assert main(["annotate", "--mock", "--input", str(d / "clean.jsonl.gz"), *common]) == 0
+    return d

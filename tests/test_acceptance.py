@@ -324,7 +324,9 @@ def test_corpus_replication():
         rows = read_table(path, "vertical")
         tgt_rows = [r for r in rows if r.ttype == "SI"]
         src_rows = [r for r in rows if r.ttype == "ORG"]
-        data = fp.build_fp_dataset(tgt_rows, src_rows, direction.upper())
+        data = fp.build_fp_dataset(tgt_rows, src_rows, direction.upper(),
+                                   pipeline.ROLES["lm_base"].column,
+                                   pipeline.ROLES["mt_base"].column)
         rate = sum(o.outcome for o in data) / len(data)
         assert 0.03 < rate < 0.07
         fit = fp.fit_logistic(data)

@@ -509,8 +509,33 @@ def test_fp_analyze_repeated_factor_writes_no_model(tmp_path, capsys):
     assert not (tmp_path / "fp_model.tsv.gz").exists()
 
 
+def test_fp_analyze_reads_the_direction_from_the_rows(ende_tables, tmp_path):
+    """Run without --direction, fp-analyze of an en-de vertical labels the
+    model with the rows' direction."""
+    assert main(["fp-analyze", "--input", str(ende_tables / "vertical.tsv.gz"),
+                 "--output-dir", str(tmp_path)]) == 0
+    prov = _fp_provenance(tmp_path)
+    assert prov["direction"] == "EN-DE"
+    assert int(prov["n_obs"]) > 0
+
+
+def test_fp_analyze_of_a_vertical_of_two_directions_writes_no_model(tmp_path, capsys):
+    """Segments are keyed by (doc_id, seg_id), so a vertical holding both
+    directions is refused rather than merged."""
+    rows = fp_vertical_rows()
+    for row in rows[len(rows) // 2:]:
+        row.lpair = "en-de"
+    write_table(rows, "vertical", tmp_path / "vertical.tsv.gz")
+    assert main(["fp-analyze", "--input", str(tmp_path / "vertical.tsv.gz"),
+                 "--output-dir", str(tmp_path)]) == 1
+    record = json.loads(capsys.readouterr().err.strip())
+    assert record["error"] == "ValueError"
+    assert "'de-en', 'en-de'" in record["message"]
+    assert not (tmp_path / "fp_model.tsv.gz").exists()
+
+
 def _gam(tmp_path, *extra):
-    long_path, wide_path = write_gam_tables(tmp_path)
+    long_path, wide_path = write_gam_tables(tmp_path, "de-en")
     return main(["gam", "--input", str(long_path), "--wide", str(wide_path),
                  "--output-dir", str(tmp_path), "--direction", "de-en",
                  "--mode", "sp", *extra])
@@ -527,6 +552,27 @@ def test_gam_subcommand(tmp_path):
     assert len(body) - 1 == 60
     first = [float(v) for v in body[1].split("\t")]
     assert first[2] <= first[1] <= first[3]
+
+
+def test_gam_fits_the_target_side_whatever_the_direction(tmp_path):
+    """Run without --direction, gam keeps the long records that are not of
+    the source ttype: on en-de tables it fits the target side, whose LM
+    means track the MT means, and writes the curve the same target side
+    gives on de-en tables, not a fit of the source side's means."""
+    bodies = {}
+    for lpair in ("de-en", "en-de"):
+        d = tmp_path / lpair
+        d.mkdir()
+        long_path, wide_path = write_gam_tables(d, lpair)
+        assert main(["gam", "--input", str(long_path), "--wide", str(wide_path),
+                     "--output-dir", str(d)]) == 0
+        with gzip.open(d / "gam_curve.tsv.gz", "rt", encoding="utf-8") as f:
+            lines = [ln.rstrip("\n") for ln in f]
+        prov = dict(ln[2:].split("=", 1) for ln in lines if ln.startswith("# "))
+        assert prov["n"] == "80"
+        assert float(prov["pseudo_r2"]) > 0.9
+        bodies[lpair] = [ln for ln in lines if not ln.startswith("#")]
+    assert bodies["en-de"] == bodies["de-en"]
 
 
 def test_gam_rejects_a_grid_of_fewer_than_two_points(tmp_path, capsys):

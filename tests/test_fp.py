@@ -256,6 +256,10 @@ def test_zscore_population_normalization():
 
 # ---------------------------------------------------------------- dataset build
 
+# the vertical columns of the base variant's LM and MT bits
+_BASE_COLUMNS = ("srp_base_gpt2", "srp_base_mt")
+
+
 def _src_id(seg, word):
     return ItemId("ORG", "SP", "DE", "EN", "001", seg, word)
 
@@ -303,7 +307,7 @@ def test_build_fp_dataset_outcomes_and_eligibility():
         _tgt("02", "002", "still", lm=1.0, mt=4.0, aligned=[sid("02", "001")]),
     ]
 
-    data = build_fp_dataset(tgt_rows, src_rows, "DE-EN", variant="base")
+    data = build_fp_dataset(tgt_rows, src_rows, "DE-EN", *_BASE_COLUMNS)
 
     # excluded: FP rows, expansions, the unaligned word, the null-lm word,
     # and the word whose only aligned source has no surprisal
@@ -332,7 +336,7 @@ def test_build_fp_dataset_outcomes_and_eligibility():
 
 
 def test_build_fp_dataset_empty_and_constant():
-    assert build_fp_dataset([], [], "DE-EN") == []
+    assert build_fp_dataset([], [], "DE-EN", *_BASE_COLUMNS) == []
 
     # two clones of the same segment leave every predictor constant
     src_rows = [_src("01", "001", 2.0)]
@@ -341,7 +345,7 @@ def test_build_fp_dataset_empty_and_constant():
         _tgt("01", "002", "word", lm=1.0, mt=2.0, aligned=[str(_src_id("01", "001"))]),
     ]
     with pytest.raises(ValueError, match="constant"):
-        build_fp_dataset(tgt_rows, src_rows, "DE-EN")
+        build_fp_dataset(tgt_rows, src_rows, "DE-EN", *_BASE_COLUMNS)
 
 
 def test_build_fp_dataset_ft_variant_reads_ft_columns():
@@ -355,7 +359,7 @@ def test_build_fp_dataset_ft_variant_reads_ft_columns():
         row.srp_ft_gpt2 = lm
         row.srp_ft_mt = mt
         tgt_rows.append(row)
-    data = build_fp_dataset(tgt_rows, src_rows, "DE-EN", variant="ft")
+    data = build_fp_dataset(tgt_rows, src_rows, "DE-EN", "srp_ft_gpt2", "srp_ft_mt")
     assert len(data) == 3
     raw_tgt = zscore([1.0, 4.0, 2.0], "nxtwS_tgt")
     assert [o.nxtwS_tgt for o in data] == pytest.approx(raw_tgt.tolist())

@@ -61,7 +61,7 @@ gam.fit_gam(x, 2.0 * x + np.sin(6.0 * x)).curve(10)
 
 def test_fit_commands_run_where_scipy_cannot_be_imported(tmp_path):
     write_table(fp_vertical_rows(), "vertical", tmp_path / "vertical.tsv.gz")
-    write_gam_tables(tmp_path)
+    write_gam_tables(tmp_path, "de-en")
     script = """
 import importlib.abc
 

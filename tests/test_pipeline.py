@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from test_pinned_bytes import _MODES, _write_corpus
-from wordbits import pipeline
+from wordbits import fp, pipeline
 from wordbits.adapters import AdapterError, MockCausalLM
 from wordbits.cli import _config_from_args, build_parser
 from wordbits.config import RunConfig
@@ -849,3 +849,26 @@ def test_nameless_adapters_are_named_by_their_class(tmp_path, caplog):
         header = [ln.rstrip("\n") for ln in f if ln.startswith("# adapter_")]
     assert header == ["# adapter_lm_base=_Nameless", "# adapter_lm_ft=_Overscoring",
                       "# adapter_parser=_Nameless"]
+
+
+def test_fp_avs_predictors_are_the_long_and_wide_segment_means(ende_tables):
+    """The FP model's AvS predictors are the word means the long and wide
+    tables publish for each observation's segment, z-scored over the
+    observations, equal to the last bit: records.word_mean defines both."""
+    rows = read_table(ende_tables / "vertical.tsv.gz", "vertical")
+    longs = read_table(ende_tables / "long.tsv.gz", "long")
+    wides = read_table(ende_tables / "wide.tsv.gz", "wide")
+    src_ttype = RunConfig.src_ttype
+    data = fp.build_fp_dataset([r for r in rows if r.ttype != src_ttype],
+                               [r for r in rows if r.ttype == src_ttype], "EN-DE",
+                               pipeline.ROLES["lm_base"].column,
+                               pipeline.ROLES["mt_base"].column)
+    assert len(data) > 500
+    # each segment of the corpus is its own document
+    assert len({r.doc_id for r in longs}) == len({(r.doc_id, r.seg_id) for r in longs})
+    means = {"AvS_tgt": {r.doc_id: r.base_gpt_avs for r in longs if r.ttype != src_ttype},
+             "AvS_src": {r.doc_id: r.base_gpt_avs for r in longs if r.ttype == src_ttype},
+             "AvS_mt": {w.src_doc_id: w.base_mt_avs for w in wides}}
+    for name, of_doc in means.items():
+        want = fp.zscore([of_doc[o.doc_id] for o in data], name).tolist()
+        assert [getattr(o, name) for o in data] == want, name
